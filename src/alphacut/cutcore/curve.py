@@ -24,15 +24,17 @@ class ExprFn:
         if isinstance(e, str):
             e = ex.parse(e)
         self.expr = e
-        self._deriv = None
+        self._f = ex.compiled(e)
+        self._df = None  # the compiled derivative, built on first use
 
     def __call__(self, alpha):
-        return ex.evaluate(self.expr, alpha)
+        return self._f(alpha)
 
     def deriv(self, alpha):
-        if self._deriv is None:
-            self._deriv = ex.derivative(self.expr)
-        return ex.evaluate(self._deriv, alpha)
+        df = self._df
+        if df is None:
+            df = self._df = ex.compiled(ex.derivative(self.expr))
+        return df(alpha)
 
     def text(self, varname="a"):
         return ex.to_text(self.expr, varname)
@@ -53,12 +55,14 @@ class InverseFn:
         self.xlo = float(xlo)
         self.xhi = float(xhi)
         self.increasing = bool(increasing)
-        self._md = ex.derivative(m_expr)
+        self._mf = ex.compiled(m_expr)
+        self._mdf = ex.compiled(ex.derivative(m_expr))
 
     def __call__(self, alpha):
+        m = self._mf
         lo, hi = self.xlo, self.xhi
-        flo = ex.evaluate(self.m, lo)
-        fhi = ex.evaluate(self.m, hi)
+        flo = m(lo)
+        fhi = m(hi)
         if self.increasing:
             if alpha <= flo:
                 return lo
@@ -73,7 +77,7 @@ class InverseFn:
             mid = 0.5 * (lo + hi)
             if mid == lo or mid == hi:
                 break
-            v = ex.evaluate(self.m, mid)
+            v = m(mid)
             below = v < alpha if self.increasing else v > alpha
             if below:
                 lo = mid
@@ -85,7 +89,7 @@ class InverseFn:
 
     def deriv(self, alpha):
         x = self(alpha)
-        slope = ex.evaluate(self._md, x)
+        slope = self._mdf(x)
         if slope == 0.0:
             return math.inf if self.increasing else -math.inf
         return 1.0 / slope
@@ -367,14 +371,24 @@ class FuzzyNum:
         self.right = right
         self.name = name
         self.doc = doc
+        # left and right are never reassigned, so the base and top
+        # cuts are computed once, on first read
+        self._support = None
+        self._core = None
 
     @property
     def support(self):
-        return Interval(self.left.value(0.0), self.right.value(0.0))
+        if self._support is None:
+            self._support = Interval(self.left.value(0.0),
+                                     self.right.value(0.0))
+        return self._support
 
     @property
     def core(self):
-        return Interval(self.left.value(1.0), self.right.value(1.0))
+        if self._core is None:
+            self._core = Interval(self.left.value(1.0),
+                                  self.right.value(1.0))
+        return self._core
 
     def is_crisp_point(self):
         s = self.support

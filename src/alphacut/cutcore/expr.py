@@ -21,12 +21,13 @@ class Expr:
     float payload for const/scal and the (num, den) pair for rpow.
     """
 
-    __slots__ = ("kind", "args", "value")
+    __slots__ = ("kind", "args", "value", "_fn")
 
     def __init__(self, kind, args=(), value=None):
         self.kind = kind
         self.args = tuple(args)
         self.value = value
+        self._fn = None  # the compiled closure, built on first evaluation
 
     def __repr__(self):
         return "Expr(%s)" % to_text(self)
@@ -139,81 +140,129 @@ def neg(e):
 
 
 def evaluate(e, t):
-    """Evaluate e at scalar or numpy array t.
+    """Evaluate e at t.
 
     Arguments slightly outside the domains of sqrt/asin/acos are
     clamped; this absorbs 1-ulp dust at interval endpoints.
     """
+    return compiled(e)(t)
+
+
+def compiled(e):
+    """The one-argument closure that evaluates e, built once per node.
+
+    Each node becomes a closure over the closures of its children, with
+    constant and variable operands of +, -, * and scalar products
+    inlined.  Every float operation takes its operands in the order of
+    the grammar's definition, so results are bitwise those of a plain
+    recursive walk of the tree.
+    """
+    fn = e._fn
+    if fn is None:
+        fn = e._fn = _compile(e)
+    return fn
+
+
+def _identity(t):
+    return t
+
+
+# binary nodes by operand shape: f a compiled child, c a constant,
+# t the variable itself
+_BINARY = {
+    "add": {
+        "ff": lambda f, g: lambda t: f(t) + g(t),
+        "fc": lambda f, c: lambda t: f(t) + c,
+        "ft": lambda f, _: lambda t: f(t) + t,
+        "cf": lambda c, g: lambda t: c + g(t),
+        "cc": lambda c, d: lambda t: c + d,
+        "ct": lambda c, _: lambda t: c + t,
+        "tf": lambda _, g: lambda t: t + g(t),
+        "tc": lambda _, c: lambda t: t + c,
+        "tt": lambda _, __: lambda t: t + t,
+    },
+    "sub": {
+        "ff": lambda f, g: lambda t: f(t) - g(t),
+        "fc": lambda f, c: lambda t: f(t) - c,
+        "ft": lambda f, _: lambda t: f(t) - t,
+        "cf": lambda c, g: lambda t: c - g(t),
+        "cc": lambda c, d: lambda t: c - d,
+        "ct": lambda c, _: lambda t: c - t,
+        "tf": lambda _, g: lambda t: t - g(t),
+        "tc": lambda _, c: lambda t: t - c,
+        "tt": lambda _, __: lambda t: t - t,
+    },
+    "mul": {
+        "ff": lambda f, g: lambda t: f(t) * g(t),
+        "fc": lambda f, c: lambda t: f(t) * c,
+        "ft": lambda f, _: lambda t: f(t) * t,
+        "cf": lambda c, g: lambda t: c * g(t),
+        "cc": lambda c, d: lambda t: c * d,
+        "ct": lambda c, _: lambda t: c * t,
+        "tf": lambda _, g: lambda t: t * g(t),
+        "tc": lambda _, c: lambda t: t * c,
+        "tt": lambda _, __: lambda t: t * t,
+    },
+}
+
+
+def _operand(e):
+    if e.kind == "const":
+        return "c", e.value
+    if e.kind == "var":
+        return "t", None
+    return "f", compiled(e)
+
+
+_UNARY = {
+    "sqrt": lambda f: lambda t: max(f(t), 0.0) ** 0.5,
+    "sin": lambda f: lambda t: math.sin(f(t)),
+    "cos": lambda f: lambda t: math.cos(f(t)),
+    "asin": lambda f: lambda t: math.asin(min(1.0, max(-1.0, f(t)))),
+    "acos": lambda f: lambda t: math.acos(min(1.0, max(-1.0, f(t)))),
+}
+
+
+def _compile(e):
     k = e.kind
     if k == "const":
-        return e.value + 0.0 * t if hasattr(t, "shape") else e.value
+        c = e.value
+        return lambda t: c
     if k == "var":
-        return t
-    if k == "add":
-        return evaluate(e.args[0], t) + evaluate(e.args[1], t)
-    if k == "sub":
-        return evaluate(e.args[0], t) - evaluate(e.args[1], t)
+        return _identity
+    if k in _BINARY:
+        (sa, a), (sb, b) = _operand(e.args[0]), _operand(e.args[1])
+        return _BINARY[k][sa + sb](a, b)
     if k == "scal":
-        return e.value * evaluate(e.args[0], t)
-    if k == "mul":
-        return evaluate(e.args[0], t) * evaluate(e.args[1], t)
-    v = evaluate(e.args[0], t)
+        c = e.value
+        if e.args[0].kind == "var":
+            return lambda t: c * t
+        f = compiled(e.args[0])
+        return lambda t: c * f(t)
     if k == "rpow":
-        num, den = e.value
-        if den == 2:
-            return _power(_clamp_lo(v, 0.0), num / 2.0)
-        return _power(v, num)
-    if k == "sqrt":
-        return _power(_clamp_lo(v, 0.0), 0.5)
-    if k == "sin":
-        return _sin(v)
-    if k == "cos":
-        return _cos(v)
-    if k == "asin":
-        return _asin(_clamp_unit(v))
-    if k == "acos":
-        return _acos(_clamp_unit(v))
+        return _compile_rpow(compiled(e.args[0]), *e.value)
+    if k in _UNARY:
+        return _UNARY[k](compiled(e.args[0]))
     raise ParseError("unknown expression kind %r" % (k,))
 
 
-def _clamp_lo(v, lo):
-    if hasattr(v, "shape"):
-        import numpy
-        return numpy.maximum(v, lo)
-    return max(v, lo)
+def _compile_rpow(f, num, den):
+    # half powers clamp their base at 0 first
+    if den == 2:
+        p = num / 2.0
+        if p < 0:
+            return lambda t: _neg_power(max(f(t), 0.0), p)
+        return lambda t: max(f(t), 0.0) ** p
+    if num < 0:
+        return lambda t: _neg_power(f(t), num)
+    return lambda t: f(t) ** num
 
 
-def _power(v, p):
+def _neg_power(v, p):
     # 0 to a negative power is an infinite slope, not an error
-    if hasattr(v, "shape"):
-        import numpy
-        with numpy.errstate(divide="ignore"):
-            return numpy.power(v, float(p))
-    if v == 0.0 and p < 0:
+    if v == 0.0:
         return math.inf
     return v ** p
-
-
-def _clamp_unit(v):
-    if hasattr(v, "shape"):
-        import numpy
-        return numpy.clip(v, -1.0, 1.0)
-    return min(1.0, max(-1.0, v))
-
-
-def _dispatch_math(scalar_fn, array_name):
-    def run(v):
-        if hasattr(v, "shape"):
-            import numpy
-            return getattr(numpy, array_name)(v)
-        return scalar_fn(v)
-    return run
-
-
-_sin = _dispatch_math(math.sin, "sin")
-_cos = _dispatch_math(math.cos, "cos")
-_asin = _dispatch_math(math.asin, "arcsin")
-_acos = _dispatch_math(math.acos, "arccos")
 
 
 def derivative(e):

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import example, given, reject, settings, strategies as st
 
 from alphacut.cutcore import expr as ex
 from alphacut.errors import ParseError
@@ -145,3 +146,149 @@ def test_one_sided_derivative_oracle_agrees():
     got = ex.evaluate(d, 0.8)
     want = richardson_one_sided(f, 0.8, "right", h0=1e-4)
     assert abs(got - want) <= 1e-5 * (1 + abs(got))
+
+
+# --- the compiled evaluator against a plain recursive walk ---------------
+
+
+def reference_evaluate(e, t):
+    """The grammar's definition, walked node by node.
+
+    Half powers clamp their base at 0, asin and acos clamp their
+    argument to [-1, 1], and 0 to a negative power is inf.
+    """
+    k = e.kind
+    if k == "const":
+        return e.value
+    if k == "var":
+        return t
+    if k in ("add", "sub", "mul"):
+        a = reference_evaluate(e.args[0], t)
+        b = reference_evaluate(e.args[1], t)
+        return a + b if k == "add" else a - b if k == "sub" else a * b
+    if k == "scal":
+        return e.value * reference_evaluate(e.args[0], t)
+    v = reference_evaluate(e.args[0], t)
+    if k in ("rpow", "sqrt"):
+        num, den = e.value if k == "rpow" else (1, 2)
+        p = num
+        if den == 2:
+            v, p = max(v, 0.0), num / 2.0
+        if v == 0.0 and p < 0:
+            return math.inf
+        return v ** p
+    if k in ("asin", "acos"):
+        v = min(1.0, max(-1.0, v))
+    return getattr(math, k)(v)
+
+
+def _outcome(fn, e, t):
+    """Type and bits of the result, or the type of the error raised."""
+    try:
+        v = fn(e, t)
+    except (ArithmeticError, ValueError) as err:
+        return ("raises", type(err))
+    return (type(v), float(v).hex())  # every NaN prints as "nan"
+
+
+_LEAVES = st.sampled_from(["a", "a", "a", "0", "1", "2", "0.5", "3.25", "pi"])
+_EXPONENTS = ["2", "3", "(-1)", "(-2)", "(1/2)", "(3/2)", "(-1/2)", "(-3/2)"]
+
+
+def _grow(inner):
+    return st.one_of(
+        st.tuples(inner, st.sampled_from("+-*"), inner).map(
+            lambda p: "(%s %s %s)" % p),
+        st.tuples(st.sampled_from(ex._FUNCS), inner).map(
+            lambda p: "%s(%s)" % p),
+        st.tuples(inner, st.sampled_from(_EXPONENTS)).map(
+            lambda p: "(%s)^%s" % p),
+        st.tuples(st.sampled_from(["2", "0.5", "-1.5"]), inner).map(
+            lambda p: "%s*%s" % p),
+        inner.map(lambda c: "-(%s)" % c),
+        inner.map(lambda c: "(%s)/4" % c),
+    )
+
+
+_EXPRESSIONS = st.recursive(_LEAVES, _grow, max_leaves=16)
+_LEVELS = st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0, 1])),
+                   min_size=1, max_size=6)
+_ABOVE_ONE = math.nextafter(1.0, 2.0)
+_BELOW_MINUS_ONE = math.nextafter(-1.0, -2.0)
+_BELOW_ZERO = math.nextafter(0.0, -1.0)
+
+
+@settings(max_examples=500)
+@given(_EXPRESSIONS, _LEVELS)
+@example("sqrt(a)", [_BELOW_ZERO])
+@example("sqrt(1 - a)", [_ABOVE_ONE])
+@example("asin(a)", [_ABOVE_ONE])
+@example("asin(-a)", [_ABOVE_ONE])
+@example("acos(a)", [_ABOVE_ONE])
+@example("acos(-a)", [_ABOVE_ONE])
+@example("asin(a - 2)", [_BELOW_ZERO + 1.0])
+@example("acos(2*a)", [_BELOW_MINUS_ONE / 2.0])
+@example("a^(-1)", [0.0])
+@example("a^(-1/2)", [0.0])
+@example("a^(-1)", [0])
+@example("a^(-1/2)", [0])
+@example("sqrt(a)*a", [0.0])
+@example("sqrt(a^(-1)*a)", [0.0])  # NaN inside each clamp
+@example("(a^(-1)*a)^(-3/2)", [0.0])
+@example("asin(a^(-1)*a)", [0.0])
+@example("acos(a^(-1)*a)", [0.0])
+@example("sqrt(a)*a + asin(a)", [1])
+def test_compiled_evaluator_matches_reference_bitwise(text, levels):
+    try:
+        e = ex.parse(text)
+        nodes = (e, ex.derivative(e))
+    except (ArithmeticError, TypeError):
+        # constant folding while building the tree is not evaluation
+        reject()
+    for node in nodes:
+        for t in levels:
+            assert _outcome(ex.evaluate, node, t) == \
+                _outcome(reference_evaluate, node, t), (ex.to_text(node), t)
+
+
+# operands of every shape, built directly: the constructors fold some
+# of these (a product with a constant becomes a scalar product)
+_OPERANDS = {"f": ex.parse("sin(a) - 0.25"), "c": ex.const(0.75),
+             "t": ex.var()}
+_RIGHT_OPERANDS = {"f": ex.parse("a^2 + 0.5"), "c": ex.const(-0.375),
+                   "t": ex.var()}
+
+
+@pytest.mark.parametrize("shape", [a + b for a in "fct" for b in "fct"])
+@pytest.mark.parametrize("kind", ["add", "sub", "mul"])
+def test_every_operand_shape_matches_reference(kind, shape):
+    e = ex.Expr(kind, (_OPERANDS[shape[0]], _RIGHT_OPERANDS[shape[1]]))
+    for t in (0, 1, 0.0, -0.0, 0.3, 1.0):
+        assert _outcome(ex.evaluate, e, t) == \
+            _outcome(reference_evaluate, e, t)
+
+
+@pytest.mark.parametrize("shape", "fct")
+def test_every_scalar_operand_matches_reference(shape):
+    e = ex.Expr("scal", (_OPERANDS[shape],), -2.5)
+    for t in (0, 1, 0.0, -0.0, 0.3, 1.0):
+        assert _outcome(ex.evaluate, e, t) == \
+            _outcome(reference_evaluate, e, t)
+
+
+def test_reference_covers_the_edge_cases():
+    assert ex.evaluate(ex.parse("a^(-1)"), 0.0) == math.inf
+    assert ex.evaluate(ex.parse("a^(-1/2)"), 0) == math.inf
+    assert ex.evaluate(ex.parse("sqrt(a)"), _BELOW_ZERO) == 0.0
+    assert ex.evaluate(ex.parse("acos(-a)"), _ABOVE_ONE) == math.pi
+    d = ex.derivative(ex.parse("sqrt(a)*a"))
+    assert math.isnan(ex.evaluate(d, 0.0))
+    assert type(ex.evaluate(ex.parse("a^2"), 1)) is int
+
+
+def test_compiled_closure_is_built_once_per_node():
+    e = ex.parse("sqrt(1 - a) + a^2")
+    f = ex.compiled(e)
+    assert ex.compiled(e) is f
+    inner = e.args[0]
+    assert ex.compiled(inner) is ex.compiled(inner)
