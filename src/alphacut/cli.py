@@ -466,6 +466,30 @@ def _cmd_plot(args):
     return 0
 
 
+def _finite(text):
+    """argparse type: a finite float."""
+    try:
+        v = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid float value: %r" % (text,))
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError(
+            "must be a finite number, got %r" % (text,))
+    return v
+
+
+def _grid_size(text):
+    """argparse type: a grid of at least one interval."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % (text,))
+    if n < 1:
+        raise argparse.ArgumentTypeError(
+            "must be an integer >= 1, got %r" % (text,))
+    return n
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="alphacut",
@@ -474,18 +498,18 @@ def build_parser():
 
     p = sub.add_parser("validate", help="check representation conditions")
     p.add_argument("file")
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=_finite, default=1e-12)
     p.set_defaults(fn=_cmd_validate)
 
     p = sub.add_parser("cut", help="cut interval at a level")
     p.add_argument("file")
-    p.add_argument("level", type=float)
+    p.add_argument("level", type=_finite)
     p.add_argument("--strong", action="store_true")
     p.set_defaults(fn=_cmd_cut)
 
     p = sub.add_parser("membership", help="membership at an abscissa")
     p.add_argument("file")
-    p.add_argument("x", type=float)
+    p.add_argument("x", type=_finite)
     p.set_defaults(fn=_cmd_membership)
 
     p = sub.add_parser("classify", help="list non-differentiable points")
@@ -509,7 +533,7 @@ def build_parser():
 
     p = sub.add_parser("scale", help="scalar multiple")
     p.add_argument("file")
-    p.add_argument("factor", type=float)
+    p.add_argument("factor", type=_finite)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_scale)
 
@@ -520,9 +544,9 @@ def build_parser():
 
     p = sub.add_parser("synthesize", help="build a tailored smoother")
     p.add_argument("target")
-    p.add_argument("p", type=float)
+    p.add_argument("p", type=_finite)
     p.add_argument("--preserve-core", action="store_true")
-    p.add_argument("--lipschitz-cap", type=float)
+    p.add_argument("--lipschitz-cap", type=_finite)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_synthesize)
 
@@ -531,21 +555,21 @@ def build_parser():
     p.add_argument("smoother", nargs="?")
     p.add_argument("--synthesize", action="store_true")
     p.add_argument("--steps", type=int, default=20)
-    p.add_argument("--p", type=float, default=1.0)
+    p.add_argument("--p", type=_finite, default=1.0)
     p.add_argument("--preserve-core", action="store_true")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_approximate)
 
     p = sub.add_parser("sample", help="CSV of cuts or membership")
     p.add_argument("file")
-    p.add_argument("--grid", type=int, default=1025)
+    p.add_argument("--grid", type=_grid_size, default=1025)
     p.add_argument("--membership", action="store_true")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_sample)
 
     p = sub.add_parser("plot", help="SVG membership plot")
     p.add_argument("files", nargs="+")
-    p.add_argument("--grid", type=int, default=1025)
+    p.add_argument("--grid", type=_grid_size, default=1025)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_plot)
 

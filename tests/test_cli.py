@@ -181,6 +181,46 @@ def test_usage_errors_raise_systemexit_2(capsys):
     capsys.readouterr()
 
 
+# Each bad number is rejected by argparse: exit 2 and a usage message
+# that names the argument, never a traceback or a silent answer.
+BAD_NUMBERS = [
+    pytest.param(["sample", "--grid", "0"], "--grid", id="sample-grid-0"),
+    pytest.param(["sample", "--grid", "-4"], "--grid", id="sample-grid-neg"),
+    pytest.param(["plot", "--grid", "0", "--out", "{tmp}/p.svg"], "--grid",
+                 id="plot-grid-0"),
+    pytest.param(["scale", "inf", "--out", "{tmp}"], "factor",
+                 id="scale-inf"),
+    pytest.param(["scale", "nan", "--out", "{tmp}"], "factor",
+                 id="scale-nan"),
+    pytest.param(["membership", "nan"], "x", id="membership-nan"),
+    pytest.param(["membership", "inf"], "x", id="membership-inf"),
+    pytest.param(["cut", "nan"], "level", id="cut-nan"),
+    pytest.param(["synthesize", "nan", "--out", "{tmp}"], "p",
+                 id="synthesize-nan"),
+    pytest.param(["synthesize", "0.5", "--lipschitz-cap", "inf",
+                  "--out", "{tmp}"], "--lipschitz-cap",
+                 id="synthesize-cap-inf"),
+    pytest.param(["approximate", "--synthesize", "--p", "nan",
+                  "--out", "{tmp}"], "--p", id="approximate-p-nan"),
+    pytest.param(["validate", "--tol", "nan"], "--tol", id="validate-tol-nan"),
+]
+
+
+@pytest.mark.parametrize("argv,name", BAD_NUMBERS)
+def test_bad_numbers_exit_2_naming_the_argument(argv, name, tmp_path,
+                                                capsys):
+    command, rest = argv[0], argv[1:]
+    argv = [command, fixture_path("triangle")] + [
+        a.replace("{tmp}", str(tmp_path)) for a in rest]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage: alphacut %s" % command in err
+    assert "error: argument %s:" % name in err
+    assert not os.listdir(str(tmp_path))
+
+
 # ------------------------------------------------------------- subcommands
 
 def test_validate_fixture_ok(capsys):
