@@ -167,43 +167,43 @@ def _identity(t):
     return t
 
 
-# binary nodes by operand shape: f a compiled child, c a constant,
-# t the variable itself
+# binary nodes by operand shape: f a compiled child, c a constant, t
+# the variable itself; the shapes the constructors never build (two
+# leaves, a product with a constant) go through "ff"
 _BINARY = {
     "add": {
         "ff": lambda f, g: lambda t: f(t) + g(t),
         "fc": lambda f, c: lambda t: f(t) + c,
         "ft": lambda f, _: lambda t: f(t) + t,
         "cf": lambda c, g: lambda t: c + g(t),
-        "cc": lambda c, d: lambda t: c + d,
-        "ct": lambda c, _: lambda t: c + t,
         "tf": lambda _, g: lambda t: t + g(t),
+        "ct": lambda c, _: lambda t: c + t,
         "tc": lambda _, c: lambda t: t + c,
-        "tt": lambda _, __: lambda t: t + t,
     },
     "sub": {
         "ff": lambda f, g: lambda t: f(t) - g(t),
         "fc": lambda f, c: lambda t: f(t) - c,
         "ft": lambda f, _: lambda t: f(t) - t,
         "cf": lambda c, g: lambda t: c - g(t),
-        "cc": lambda c, d: lambda t: c - d,
-        "ct": lambda c, _: lambda t: c - t,
         "tf": lambda _, g: lambda t: t - g(t),
+        "ct": lambda c, _: lambda t: c - t,
         "tc": lambda _, c: lambda t: t - c,
-        "tt": lambda _, __: lambda t: t - t,
     },
     "mul": {
         "ff": lambda f, g: lambda t: f(t) * g(t),
-        "fc": lambda f, c: lambda t: f(t) * c,
         "ft": lambda f, _: lambda t: f(t) * t,
-        "cf": lambda c, g: lambda t: c * g(t),
-        "cc": lambda c, d: lambda t: c * d,
-        "ct": lambda c, _: lambda t: c * t,
         "tf": lambda _, g: lambda t: t * g(t),
-        "tc": lambda _, c: lambda t: t * c,
-        "tt": lambda _, __: lambda t: t * t,
     },
 }
+
+
+def _compile_binary(e):
+    table = _BINARY[e.kind]
+    (sa, a), (sb, b) = _operand(e.args[0]), _operand(e.args[1])
+    make = table.get(sa + sb)
+    if make is None:
+        return table["ff"](compiled(e.args[0]), compiled(e.args[1]))
+    return make(a, b)
 
 
 def _operand(e):
@@ -231,8 +231,7 @@ def _compile(e):
     if k == "var":
         return _identity
     if k in _BINARY:
-        (sa, a), (sb, b) = _operand(e.args[0]), _operand(e.args[1])
-        return _BINARY[k][sa + sb](a, b)
+        return _compile_binary(e)
     if k == "scal":
         c = e.value
         if e.args[0].kind == "var":
