@@ -8,7 +8,7 @@ Lipschitz preservation.
 
 import math
 
-from .calculus import (_candidate_points, class_membership,
+from .calculus import (candidate_points, class_membership,
                        lipschitz_estimate, singular_at, sup_metric)
 from .convolve import convolve, scale
 from .cutcore.curve import membership
@@ -35,7 +35,7 @@ def verify_smoothness(fz, grid=1000):
     """Probe structural candidates plus a uniform grid for defects."""
     sup = fz.support
     xs = set()
-    for x in _candidate_points(fz):
+    for x in candidate_points(fz):
         if x - sup.lo > TOL and sup.hi - x > TOL:
             xs.add(x)
     if sup.width > 0.0:

@@ -91,21 +91,12 @@ class ClassFlags:
             self.in_FT, self.in_FN, self.in_FC, self.in_FD)
 
 
-def _as_left_slope(level_deriv):
+def as_left_slope(level_deriv):
     """Left-branch membership slope from a left-curve level derivative."""
     if math.isinf(level_deriv):
         return 0.0
     if level_deriv == 0.0:
         return math.inf
-    return 1.0 / level_deriv
-
-
-def _as_right_slope(level_deriv):
-    """Right-branch membership slope from a right-curve level derivative."""
-    if math.isinf(level_deriv):
-        return 0.0
-    if level_deriv == 0.0:
-        return -math.inf
     return 1.0 / level_deriv
 
 
@@ -146,37 +137,22 @@ def _left_slope_at(fz, x, rho):
             return 0.0
         inner = fz.right.right_limit(rho)
         if abs(x - inner) <= TOL_X:
-            return _as_right_slope(fz.right.deriv_above(rho))
+            # the right curve read as the mirror's left curve; 0.0 - v
+            # keeps a zero slope +0.0
+            return 0.0 - as_left_slope(-fz.right.deriv_above(rho))
         return 0.0
     # left branch, including the core start
     if rho == 0.0:
         return 0.0
     outer = fz.left.value(rho)
     if abs(x - outer) <= TOL_X:
-        return _as_left_slope(fz.left.deriv_below(rho))
+        return as_left_slope(fz.left.deriv_below(rho))
     return 0.0
 
 
 def _right_slope_at(fz, x, rho):
-    """Membership slope at x from the right."""
-    core = fz.core
-    if x < core.hi - TOL_X:
-        if x >= core.lo - TOL_X:
-            return 0.0
-        # left branch: nonzero only where x is the inner cut image
-        if rho >= 1.0:
-            return 0.0
-        inner = fz.left.right_limit(rho)
-        if abs(x - inner) <= TOL_X:
-            return _as_left_slope(fz.left.deriv_above(rho))
-        return 0.0
-    # right branch, including the core end
-    if rho == 0.0:
-        return 0.0
-    outer = fz.right.value(rho)
-    if abs(x - outer) <= TOL_X:
-        return _as_right_slope(fz.right.deriv_below(rho))
-    return 0.0
+    """Membership slope at x from the right: the mirrored left slope."""
+    return 0.0 - _left_slope_at(fz.mirror, -x, rho)
 
 
 def left_deriv(fz, x):
@@ -214,7 +190,7 @@ def numeric_slope(fz, x, side):
     return prev
 
 
-def _candidate_points(fz):
+def candidate_points(fz):
     """Breakpoint images of both curves plus the core endpoints."""
     xs = []
     for curve in (fz.left, fz.right):
@@ -258,7 +234,7 @@ def classify_points(fz):
     """All membership singular points strictly inside the support."""
     sup = fz.support
     out = []
-    for x in _candidate_points(fz):
+    for x in candidate_points(fz):
         if x - sup.lo <= TOL_X or sup.hi - x <= TOL_X:
             continue
         p = singular_at(fz, x)

@@ -217,7 +217,7 @@ def _membership_points(fz, grid):
     n = max(grid, 512)
     for k in range(n + 1):
         xs.add(lo + (hi - lo) * k / n)
-    for x in calculus._candidate_points(fz):
+    for x in calculus.candidate_points(fz):
         xs.add(x)
         xs.add(math.nextafter(x, -math.inf))
         xs.add(math.nextafter(x, math.inf))

@@ -9,10 +9,10 @@ instead of extrapolating.
 
 import math
 
-from .calculus import ExtendedSlope, _as_left_slope, _as_right_slope
+from .calculus import ExtendedSlope, as_left_slope
 from .cutcore import expr as ex
 from .cutcore.curve import (CutCurve, ExprFn, FuzzyNum, Segment, fn_add,
-                            fn_scale, membership, validate)
+                            membership, membership_outer_limit, validate)
 from .errors import StructuralError
 
 TOL = 1e-9
@@ -84,22 +84,14 @@ def convolve(u, v):
     return out
 
 
-def _flip_curve(curve, r):
-    """Scale a curve by a negative factor, reversing its direction."""
-    swap = {"inc": "dec", "dec": "inc", "const": "const"}
-    return CutCurve([
-        Segment(s.lo, s.hi, fn_scale(r, s.fn), swap[s.mono], s.own_right)
-        for s in curve.segments])
-
-
 def scale(r, v):
     """Scalar multiple of a fuzzy number; r = 0 collapses to a point."""
     r = float(r)
     if r == 0.0:
         return crisp_point(0.0)
-    if r > 0.0:
-        return FuzzyNum(v.left.scaled(r), v.right.scaled(r))
-    return FuzzyNum(_flip_curve(v.right, r), _flip_curve(v.left, r))
+    if r < 0.0:
+        v, r = v.mirror, -r
+    return FuzzyNum(v.left.scaled(r), v.right.scaled(r))
 
 
 def _component_endpoint(fz, spec):
@@ -115,14 +107,6 @@ def endpoint_value(u, v, spec):
                membership(v, _component_endpoint(v, spec)))
 
 
-def _outer_limit_on_branch(fz, spec_branch, x):
-    """Membership limit approaching x from outside the number."""
-    from .cutcore.curve import _scan_left, _scan_right
-    if spec_branch == "left":
-        return _scan_left(fz.left, x, True)
-    return _scan_right(fz.right, x, True)
-
-
 def _const_above(curve, q):
     """True when the curve is constant on a level neighborhood above q."""
     if q >= 1.0:
@@ -133,19 +117,16 @@ def _const_above(curve, q):
     return False
 
 
-def _predict_outward(u, v, q, branch):
-    """Slope on the approach side away from the core (clean side)."""
-    cu = u.left if branch == "left" else u.right
-    cv = v.left if branch == "left" else v.right
-    conv = _as_left_slope if branch == "left" else _as_right_slope
+def _predict_outward(u, v, q):
+    """Left-branch slope from the left, away from the core (clean side)."""
     if q <= 0.0:
         return None
-    if _const_above(cu, q) and _const_above(cv, q):
+    if _const_above(u.left, q) and _const_above(v.left, q):
         # both factors flat just above q: the summed endpoint carries a
         # membership jump, so there is no finite one-sided slope there
         return None
-    du = cu.deriv_below(q)
-    dv = cv.deriv_below(q)
+    du = u.left.deriv_below(q)
+    dv = v.left.deriv_below(q)
     if math.isinf(du) or math.isinf(dv):
         return 0.0
     if du == 0.0 and dv == 0.0:
@@ -153,26 +134,23 @@ def _predict_outward(u, v, q, branch):
     if du == 0.0 or dv == 0.0:
         # pass-through needs the flat factor to be a genuine jump
         jumper, other_d = (u, dv) if du == 0.0 else (v, du)
-        jc = jumper.left if branch == "left" else jumper.right
-        lam = _outer_limit_on_branch(jumper, branch, jc.value(q))
+        lam = membership_outer_limit(jumper, jumper.left.value(q))
         if q - lam > TOL:
-            return conv(other_d)
+            return as_left_slope(other_d)
         return None
-    return conv(du + dv)
+    return as_left_slope(du + dv)
 
 
-def _predict_inward(u, v, q, branch):
-    """Slope on the core side, gated by endpoint membership values."""
-    cu = u.left if branch == "left" else u.right
-    cv = v.left if branch == "left" else v.right
-    conv = _as_left_slope if branch == "left" else _as_right_slope
+def _predict_inward(u, v, q):
+    """Left-branch slope from the right, gated by endpoint memberships."""
+    cu, cv = u.left, v.left
     if q >= 1.0:
         return None
     if (abs(cu.right_limit(q) - cu.value(q)) > TOL
             or abs(cv.right_limit(q) - cv.value(q)) > TOL):
         # a cut jump in either factor lays a constant membership run on
         # the core side of the summed endpoint
-        return conv(0.0)
+        return as_left_slope(0.0)
     mu = membership(u, cu.value(q))
     mv = membership(v, cv.value(q))
     u_attains = abs(mu - q) <= TOL
@@ -184,43 +162,38 @@ def _predict_inward(u, v, q, branch):
             return 0.0
         if du == 0.0 or dv == 0.0:
             return None
-        return conv(du + dv)
+        return as_left_slope(du + dv)
     if u_attains and mv > q + TOL:
         d = cu.deriv_above(q)
         if math.isinf(d):
             return 0.0
         if d == 0.0:
             return None
-        return conv(d)
+        return as_left_slope(d)
     if v_attains and mu > q + TOL:
         d = cv.deriv_above(q)
         if math.isinf(d):
             return 0.0
         if d == 0.0:
             return None
-        return conv(d)
+        return as_left_slope(d)
     return None
 
 
-def _predict_strong(u, v, spec, side):
-    q = spec.level
-    branch = spec.branch
-    cu = u.left if branch == "left" else u.right
-    cv = v.left if branch == "left" else v.right
-    outward_side = "left" if branch == "left" else "right"
-    if side == outward_side:
+def _predict_strong(u, v, q, side):
+    """Left-branch slope at the strong-cut endpoint."""
+    cu, cv = u.left, v.left
+    if q >= 1.0:
+        return None
+    if side == "left":
         # approaching the strong endpoint from outside: a cut jump in
         # either factor lays a constant membership run on that side
-        if q >= 1.0:
-            return None
         ju = abs(cu.right_limit(q) - cu.value(q)) > TOL
         jv = abs(cv.right_limit(q) - cv.value(q)) > TOL
         if ju or jv:
             return 0.0
         return None
     # core side of the strong endpoint
-    if q >= 1.0:
-        return None
     mu = membership(u, cu.strong_value(q))
     mv = membership(v, cv.strong_value(q))
     if abs(mu - q) <= TOL and abs(mv - q) <= TOL:
@@ -230,8 +203,7 @@ def _predict_strong(u, v, spec, side):
             return 0.0
         if du == 0.0 or dv == 0.0:
             return None
-        conv = _as_left_slope if branch == "left" else _as_right_slope
-        return conv(du + dv)
+        return as_left_slope(du + dv)
     return None
 
 
@@ -239,18 +211,23 @@ def predicted_derivative(u, v, spec, side):
     """Predicted one-sided slope of convolve(u, v) at a cut endpoint.
 
     Returns an ExtendedSlope when a combination rule applies, or None
-    when no rule covers the configuration.
+    when no rule covers the configuration.  A right-branch endpoint is
+    the mirrored left-branch endpoint of -u and -v, read from the other
+    side.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
+    if spec.branch == "right":
+        other = "right" if side == "left" else "left"
+        got = predicted_derivative(
+            u.mirror, v.mirror, EndpointSpec("left", spec.kind, spec.level),
+            other)
+        return None if got is None else ExtendedSlope(0.0 - got.value, side)
     q = spec.level
-    branch = spec.branch
     if spec.kind == "strong-cut":
-        val = _predict_strong(u, v, spec, side)
-        return None if val is None else ExtendedSlope(val, side)
-    outward_side = "left" if branch == "left" else "right"
-    if side == outward_side:
-        val = _predict_outward(u, v, q, branch)
+        val = _predict_strong(u, v, q, side)
+    elif side == "left":
+        val = _predict_outward(u, v, q)
     else:
-        val = _predict_inward(u, v, q, branch)
+        val = _predict_inward(u, v, q)
     return None if val is None else ExtendedSlope(val, side)

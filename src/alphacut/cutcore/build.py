@@ -181,7 +181,7 @@ def _exact_unit_scale(delta):
     return None
 
 
-def _unit_affine(va, vb, za, zb):
+def unit_affine(va, vb, za, zb):
     """Affine expr through (va, za), (vb, zb), bitwise at |z| = 1 ends.
 
     The arc functions have unbounded derivative at |z| = 1, so any
@@ -239,7 +239,7 @@ def _invert_trig(decomp, xa, xb, va, vb):
     zb = zval(vb)
     if za is None or zb is None or za == zb:
         return None
-    z_expr = _unit_affine(va, vb, za, zb)
+    z_expr = unit_affine(va, vb, za, zb)
     if z_expr is None:
         return None
     if trig == "cos":

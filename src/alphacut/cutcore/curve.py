@@ -333,6 +333,14 @@ class CutCurve:
             Segment(s.lo, s.hi, fn_scale(c, s.fn), s.mono, s.own_right)
             for s in self.segments])
 
+    def negated(self):
+        """The curve of -x: every value negated, inc and dec swapped."""
+        flip = {"inc": "dec", "dec": "inc", "const": "const"}
+        return CutCurve([
+            Segment(s.lo, s.hi, fn_scale(-1.0, s.fn), flip[s.mono],
+                    s.own_right)
+            for s in self.segments])
+
     def __repr__(self):
         return "CutCurve(%r)" % (self.segments,)
 
@@ -372,9 +380,10 @@ class FuzzyNum:
         self.name = name
         self.doc = doc
         # left and right are never reassigned, so the base and top
-        # cuts are computed once, on first read
+        # cuts and the mirror are computed once, on first read
         self._support = None
         self._core = None
+        self._mirror = None
 
     @property
     def support(self):
@@ -389,6 +398,20 @@ class FuzzyNum:
             self._core = Interval(self.left.value(1.0),
                                   self.right.value(1.0))
         return self._core
+
+    @property
+    def mirror(self):
+        """The fuzzy number -u, whose left branch is u's right branch.
+
+        Negation is exact, so a right-branch query on u is answered
+        bitwise as the mirrored left-branch query on -u at -x.  The
+        mirror keeps no reference back to u: a cycle would keep every
+        number alive until the cyclic collector runs.
+        """
+        if self._mirror is None:
+            self._mirror = FuzzyNum(self.right.negated(),
+                                    self.left.negated())
+        return self._mirror
 
     def is_crisp_point(self):
         s = self.support
@@ -503,11 +526,12 @@ def strong_cut(fz, alpha):
                     fz.right.strong_value(alpha))
 
 
-def _scan_left(curve, x, strict):
-    """sup of levels whose left endpoint sits at or below x.
+def _scan(curve, x, strict):
+    """sup of levels whose value on a left curve sits at or below x.
 
     strict=True computes sup{level : value < x} instead, which is the
-    membership limit from the left at x.
+    membership limit from the left at x.  Right-branch scans run on the
+    mirror's left curve at -x.
     """
     best = 0.0
     for s in curve.segments:
@@ -554,48 +578,6 @@ def _scan_left(curve, x, strict):
     return best
 
 
-def _scan_right(curve, x, strict):
-    """sup of levels whose right endpoint sits at or above x."""
-    best = 0.0
-    for s in curve.segments:
-        if s.width == 0.0:
-            v = s.fn(s.lo)
-            if (v > x) if strict else (v >= x):
-                best = max(best, s.lo)
-                continue
-            break
-        flo = s.fn(s.lo)
-        fhi = s.fn(s.hi)
-        if (fhi > x) if strict else (fhi >= x):
-            best = s.hi
-            continue
-        if strict and fhi == x and s.mono != "const":
-            best = s.hi
-            continue
-        if (flo <= x) if strict else (flo < x):
-            break
-        if s.mono == "const":
-            break
-        if not strict and flo == x:
-            # mirror of the left-scan exact-start shortcut
-            best = max(best, s.lo)
-            break
-        lo, hi = s.lo, s.hi
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            v = s.fn(mid)
-            ok = (v > x) if strict else (v >= x)
-            if ok:
-                lo = mid
-            else:
-                hi = mid
-        best = max(best, lo)
-        break
-    return best
-
-
 def membership(fz, x):
     """Membership level of x, exact at stored breakpoint images."""
     sup = fz.support
@@ -605,8 +587,8 @@ def membership(fz, x):
     if core.lo <= x <= core.hi:
         return 1.0
     if x < core.lo:
-        return _scan_left(fz.left, x, strict=False)
-    return _scan_right(fz.right, x, strict=False)
+        return _scan(fz.left, x, strict=False)
+    return _scan(fz.mirror.left, -x, strict=False)
 
 
 def membership_outer_limit(fz, x):
@@ -621,9 +603,9 @@ def membership_outer_limit(fz, x):
     if x <= sup.lo or x >= sup.hi:
         return 0.0
     if x <= core.lo:
-        return _scan_left(fz.left, x, strict=True)
+        return _scan(fz.left, x, strict=True)
     if x >= core.hi:
-        return _scan_right(fz.right, x, strict=True)
+        return _scan(fz.mirror.left, -x, strict=True)
     return 1.0
 
 

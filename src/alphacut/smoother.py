@@ -12,9 +12,9 @@ import math
 
 from .calculus import class_membership, classify_points, singular_at
 from .cutcore import expr as ex
-from .cutcore.build import _unit_affine, from_membership_pieces
-from .cutcore.curve import (CutCurve, ExprFn, FuzzyNum, Segment,
-                            _scan_left, _scan_right, membership)
+from .cutcore.build import from_membership_pieces, unit_affine
+from .cutcore.curve import (CutCurve, ExprFn, FuzzyNum, Segment, membership,
+                            membership_outer_limit)
 from .errors import SmootherConditionError
 
 TOL = 1e-9
@@ -97,16 +97,12 @@ def _requirement_levels(u, branch):
     Returns a dict with the base level, the interior defect levels,
     the jump limit levels, whether the core endpoint is defective,
     and the base strong-endpoint level when that point is defective.
+    The right branch is read as the left branch of the mirror -u.
     """
-    sup = u.support
-    core = u.core
-    if branch == "left":
-        curve, x_end, x_core = u.left, sup.lo, core.lo
-        scan = lambda x: _scan_left(u.left, x, True)
-    else:
-        curve, x_end, x_core = u.right, sup.hi, core.hi
-        scan = lambda x: _scan_right(u.right, x, True)
-    base = membership(u, x_end)
+    m = u if branch == "left" else u.mirror
+    sup = m.support
+    x_core = m.core.lo
+    base = membership(m, sup.lo)
     interior = set()
     limits = set()
     for pt in classify_points(u):
@@ -115,16 +111,16 @@ def _requirement_levels(u, branch):
             if pt.kind == "jump":
                 limits.add(pt.outer_limit)
     core_inside = sup.lo + TOL < x_core < sup.hi - TOL
-    core_defect = core_inside and singular_at(u, x_core) is not None
+    core_defect = core_inside and singular_at(m, x_core) is not None
     if core_inside:
-        lam = scan(x_core)
+        lam = membership_outer_limit(m, x_core)
         if 1.0 - lam > TOL:
             limits.add(lam)
     base_strong = None
     if base < 1.0:
-        x_str = curve.strong_value(base)
+        x_str = m.left.strong_value(base)
         if sup.lo + TOL < x_str < sup.hi - TOL and \
-                singular_at(u, x_str) is not None:
+                singular_at(m, x_str) is not None:
             base_strong = base
     return {"base": base, "interior": sorted(interior),
             "limits": sorted(limits), "core_defect": core_defect,
@@ -371,7 +367,7 @@ def _cosine_step(s0, s1, x0, dx, rising, last):
     has unbounded slope there.  The last step per branch is anchored
     at the core end instead so the curve hits 0 exactly at level 1.
     """
-    z = _unit_affine(s0, s1, 1.0, -1.0)
+    z = unit_affine(s0, s1, 1.0, -1.0)
     if z is None:
         slope = -2.0 / (s1 - s0)
         z = ex.add(ex.const(-1.0),

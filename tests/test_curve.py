@@ -1,6 +1,8 @@
 """Cut curves: ownership, limits, validation, cuts, membership scans."""
 
+import gc
 import math
+import weakref
 
 import pytest
 
@@ -239,6 +241,39 @@ def test_scaled_and_shifted_curves():
     assert sh.value(0.25) == c.value(0.25) - 1.0
     with pytest.raises(ValueError):
         c.scaled(-1.0)
+
+
+def test_negated_curve_and_mirror():
+    c = _jump_curve()
+    n = c.negated()
+    assert [s.mono for s in n.segments] == ["dec", "dec"]
+    assert [s.own_right for s in n.segments] == \
+        [s.own_right for s in c.segments]
+    for a in (0.0, 0.25, 0.5, 0.75, 1.0):
+        assert n.value(a) == -c.value(a)
+    fz = _plateau_membership_number()
+    m = fz.mirror
+    assert fz.mirror is m
+    assert m.support == (-fz.support.hi, -fz.support.lo)
+    assert m.core == (-fz.core.hi, -fz.core.lo)
+    assert validate(m).ok
+
+
+def test_mirror_keeps_no_reference_to_its_number():
+    """Without a cycle, a number is freed as soon as its last user lets go."""
+    fz = _plateau_membership_number()
+    m = fz.mirror
+    want = fz.left.value(0.5)
+    gone = weakref.ref(fz)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del fz
+        assert gone() is None
+    finally:
+        if enabled:
+            gc.enable()
+    assert m.mirror.left.value(0.5) == want
 
 
 def test_level_query_domains():

@@ -5,8 +5,9 @@ import math
 from hypothesis import given, settings, strategies as st
 
 from alphacut import (alpha_cut, class_membership, classify_points, convolve,
-                      lipschitz_estimate, membership, scale, strong_cut,
-                      sup_metric, synthesize_smoother, validate)
+                      lipschitz_estimate, membership, membership_outer_limit,
+                      scale, strong_cut, sup_metric, synthesize_smoother,
+                      validate)
 from alphacut.convolve import EndpointSpec, predicted_derivative
 from alphacut.calculus import left_deriv, right_deriv
 
@@ -105,6 +106,20 @@ def test_scale_round_trips_bitwise(fz, c):
     back = scale(1.0 / c, scale(c, fz))
     for a in LEVELS:
         assert alpha_cut(back, a) == alpha_cut(fz, a)
+
+
+@given(fuzzy_numbers())
+def test_negation_mirrors_membership_and_slopes_bitwise(fz):
+    """-u answers at -x what u answers at x; the right branch relies on it."""
+    n = scale(-1.0, fz)
+    sup = fz.support
+    for k in range(33):
+        x = sup.lo + (sup.hi - sup.lo) * (k / 32)
+        assert membership(n, -x) == membership(fz, x)
+        assert membership_outer_limit(n, -x) == \
+            membership_outer_limit(fz, x)
+        assert float(right_deriv(fz, x)) == -float(left_deriv(n, -x))
+        assert float(left_deriv(fz, x)) == -float(right_deriv(n, -x))
 
 
 @given(fuzzy_numbers())
