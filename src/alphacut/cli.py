@@ -71,6 +71,22 @@ def _parse_rows(lines):
     return head, rows
 
 
+def _formula(text, varname, lineno):
+    """Parse one row's formula; every constant in it must be finite."""
+    try:
+        e = ex.parse(text, varname=varname)
+    except ParseError as err:
+        raise ParseError("line %d: %s" % (lineno, err))
+    nodes = [e]
+    while nodes:
+        n = nodes.pop()
+        if n.kind in ("const", "scal") and not math.isfinite(n.value):
+            raise ParseError("line %d: constant %r is not finite"
+                             % (lineno, n.value))
+        nodes.extend(n.args)
+    return e
+
+
 def _curve_from_rows(rows, which):
     segs = []
     prev_owned = None
@@ -93,10 +109,7 @@ def _curve_from_rows(rows, which):
             raise ParseError(
                 "line %d: expected %r to open this level interval"
                 % (lineno, want_open))
-        try:
-            e = ex.parse(text, varname="a")
-        except ParseError as err:
-            raise ParseError("line %d: %s" % (lineno, err))
+        e = _formula(text, "a", lineno)
         segs.append(Segment(lo, hi, ExprFn(e), mono, cb == "]"))
         prev_owned = cb == "]"
     if not segs:
@@ -137,11 +150,7 @@ def load_document(path, check=True):
                     % (lineno,))
             lo = _num(lo_s, lineno)
             hi = _num(hi_s, lineno)
-            try:
-                e = ex.parse(text, varname="x")
-            except ParseError as err:
-                raise ParseError("line %d: %s" % (lineno, err))
-            pieces.append((lo, hi, e, mono))
+            pieces.append((lo, hi, _formula(text, "x", lineno), mono))
         fz = build.from_membership_pieces(pieces, name=name, doc=source)
     if check:
         rep_v = validate(fz)
@@ -478,8 +487,8 @@ def _finite(text):
     return v
 
 
-def _grid_size(text):
-    """argparse type: a grid of at least one interval."""
+def _positive_int(text):
+    """argparse type: an integer of at least 1 (grid size, step count)."""
     try:
         n = int(text)
     except ValueError:
@@ -554,7 +563,7 @@ def build_parser():
     p.add_argument("target")
     p.add_argument("smoother", nargs="?")
     p.add_argument("--synthesize", action="store_true")
-    p.add_argument("--steps", type=int, default=20)
+    p.add_argument("--steps", type=_positive_int, default=20)
     p.add_argument("--p", type=_finite, default=1.0)
     p.add_argument("--preserve-core", action="store_true")
     p.add_argument("--out")
@@ -562,14 +571,14 @@ def build_parser():
 
     p = sub.add_parser("sample", help="CSV of cuts or membership")
     p.add_argument("file")
-    p.add_argument("--grid", type=_grid_size, default=1025)
+    p.add_argument("--grid", type=_positive_int, default=1025)
     p.add_argument("--membership", action="store_true")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_sample)
 
     p = sub.add_parser("plot", help="SVG membership plot")
     p.add_argument("files", nargs="+")
-    p.add_argument("--grid", type=_grid_size, default=1025)
+    p.add_argument("--grid", type=_positive_int, default=1025)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_plot)
 

@@ -112,9 +112,12 @@ def rpow(e, num, den=1):
             return e
     if den == 2 and num == 1:
         return Expr("sqrt", (e,))
+    node = Expr("rpow", (e,), (num, den))
     if _is_const(e):
-        return const(float(e.value) ** (num / den))
-    return Expr("rpow", (e,), (num, den))
+        # fold to what evaluation gives: half powers clamp the base at
+        # 0, and 0 to a negative power is inf
+        return const(compiled(node)(0.0))
+    return node
 
 
 def sqrt(e):
@@ -264,6 +267,11 @@ def _neg_power(v, p):
     return v ** p
 
 
+def _is_constant(e):
+    """True when the variable occurs nowhere in e."""
+    return e.kind != "var" and all(_is_constant(a) for a in e.args)
+
+
 def derivative(e):
     """Symbolic derivative; the result stays inside the grammar."""
     k = e.kind
@@ -281,6 +289,10 @@ def derivative(e):
         a, b = e.args
         return add(mul(derivative(a), b), mul(a, derivative(b)))
     inner = e.args[0]
+    if _is_constant(inner):
+        # the constructors leave sqrt(c) unfolded, so an unfolded
+        # constant can sit here; its chain rule could give 0 * inf
+        return const(0.0)
     di = derivative(inner)
     if k == "rpow":
         num, den = e.value

@@ -102,6 +102,10 @@ PARSE_CASES = [
      "no left rows in cuts document"),
     ("left [0, 1] inc: a ** 2\nright [0, 1] dec: 1 - a\n",
      "unexpected token"),
+    ("left [0, 1] inc: a - 1 + 0^(-1)\nright [0, 1] dec: 1 - a\n",
+     "line 3: constant inf is not finite"),
+    ("left [0, 1] inc: a - 1\nright [0, 1] dec: 1 - 1e300*1e300*a\n",
+     "line 4: constant inf is not finite"),
 ]
 
 
@@ -110,6 +114,35 @@ def test_parse_errors_carry_positions(body, fragment, tmp_path):
     path = write_doc(tmp_path, "name: t\nrepresentation: cuts\n" + body)
     with pytest.raises(ParseError, match=re.escape(fragment)):
         load_document(path)
+
+
+def test_membership_piece_with_infinite_constant_is_located(tmp_path):
+    path = write_doc(tmp_path, (
+        "name: t\nrepresentation: membership\n"
+        "piece [-1, 0] inc: 1 + x\npiece (0, 1] dec: 1 - x + 0^(-1/2)\n"))
+    with pytest.raises(ParseError,
+                       match=re.escape("line 4: constant inf is not finite")):
+        load_document(path)
+
+
+@pytest.mark.parametrize("formula", ["a - 1 + sqrt(0)",
+                                     "a - 1 + (0 - 1)^(3/2)"])
+def test_constant_subterms_validate(formula, tmp_path, capsys):
+    path = write_doc(tmp_path, (
+        "name: t\nrepresentation: cuts\n"
+        "left [0, 1] inc: %s\nright [0, 1] dec: 1 - a\n" % formula))
+    code, out, err = run(["validate", path], capsys)
+    assert (code, err) == (0, "")
+    assert out.rstrip().splitlines()[-1] == "ok"
+
+
+def test_infinite_constant_exits_2_via_cli(tmp_path, capsys):
+    path = write_doc(tmp_path, (
+        "name: t\nrepresentation: cuts\n"
+        "left [0, 1] inc: a - 1 + 0^(-1)\nright [0, 1] dec: 1 - a\n"))
+    code, out, err = run(["validate", path], capsys)
+    assert code == 2
+    assert err.startswith("alphacut: parse: line 3:")
 
 
 def test_parse_error_duplicate_header(tmp_path):
@@ -203,6 +236,10 @@ BAD_NUMBERS = [
     pytest.param(["approximate", "--synthesize", "--p", "nan",
                   "--out", "{tmp}"], "--p", id="approximate-p-nan"),
     pytest.param(["validate", "--tol", "nan"], "--tol", id="validate-tol-nan"),
+    pytest.param(["approximate", "--synthesize", "--steps", "0",
+                  "--out", "{tmp}"], "--steps", id="approximate-steps-0"),
+    pytest.param(["approximate", "--synthesize", "--steps", "-3",
+                  "--out", "{tmp}"], "--steps", id="approximate-steps-neg"),
 ]
 
 

@@ -106,6 +106,37 @@ def test_power_zero_base_negative_exponent_is_infinite():
     assert ex.evaluate(ex.parse("a^(-1/2)"), 0) == math.inf
 
 
+@pytest.mark.parametrize("text,value", [
+    ("0^(-1)", math.inf),
+    ("0^(-2)", math.inf),
+    ("0^(-1/2)", math.inf),
+    ("(0 - 1)^(3/2)", 0.0),
+    ("(0 - 4)^(-3/2)", math.inf),
+    ("4^(3/2)", 8.0),
+    ("(0 - 2)^3", -8.0),
+])
+def test_constant_powers_fold_as_evaluated(text, value):
+    """Folding clamps half powers and sends 0^negative to inf."""
+    e = ex.parse(text)
+    assert e.kind == "const"
+    assert e.value == value
+
+
+@pytest.mark.parametrize("text", ["sqrt(0)", "sqrt(0 - 1)",
+                                  "sqrt(2)*sqrt(0)", "sqrt(0)^3 + 1"])
+def test_derivative_of_constant_subterm_is_zero(text):
+    d = ex.derivative(ex.parse(text))
+    assert d.kind == "const"
+    assert d.value == 0.0
+
+
+def test_derivative_beside_a_constant_subterm():
+    d = ex.derivative(ex.parse("a - 1 + sqrt(0)"))
+    assert ex.evaluate(d, 0.5) == 1.0
+    d = ex.derivative(ex.parse("a*sqrt(2)"))
+    assert ex.evaluate(d, 0.5) == math.sqrt(2.0)
+
+
 def test_parse_errors_carry_position():
     for bad in ["1 +", "sqrt(", "a^b", "foo(a)", "1..2", "a^(1/3)", ")", ""]:
         with pytest.raises(ParseError):
@@ -246,8 +277,9 @@ def test_compiled_evaluator_matches_reference_bitwise(text, levels):
     try:
         e = ex.parse(text)
         nodes = (e, ex.derivative(e))
-    except (ArithmeticError, TypeError):
-        # constant folding while building the tree is not evaluation
+    except OverflowError:
+        # a constant power past the float range overflows while folding,
+        # as it would while evaluating
         reject()
     for node in nodes:
         for t in levels:
