@@ -95,8 +95,12 @@ def approximate(u, smoother, schedule=None, verify=True):
     if schedule is None:
         schedule = default_schedule()
     schedule = [float(p) for p in schedule]
-    if not schedule or any(p <= 0.0 for p in schedule):
-        raise ValueError("schedule entries must be positive")
+    if not schedule:
+        raise ValueError("schedule must not be empty")
+    for p in schedule:
+        if not 0.0 < p < math.inf:
+            raise ValueError("schedule entries must be finite and positive, "
+                             "got %r" % (p,))
     if any(b >= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly decreasing")
     rep = check_smoother_conditions(u, smoother)

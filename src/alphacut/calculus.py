@@ -9,7 +9,7 @@ as a constant cut segment) gives an infinite slope.
 
 import math
 
-from .cutcore.curve import membership, membership_outer_limit
+from .cutcore.curve import membership, membership_pair
 
 TOL_X = 1e-9
 TOL_SLOPE = 1e-6
@@ -210,10 +210,11 @@ def candidate_points(fz):
 
 def singular_at(fz, x):
     """SingularPoint at x, or None if membership is differentiable there."""
-    rho = _snap_level(membership(fz, x), fz.left, fz.right)
+    level, outer = membership_pair(fz, x)
+    rho = _snap_level(level, fz.left, fz.right)
     ls = _left_slope_at(fz, x, rho)
     rs = _right_slope_at(fz, x, rho)
-    lam = _snap_level(membership_outer_limit(fz, x), fz.left, fz.right)
+    lam = _snap_level(outer, fz.left, fz.right)
     jump = rho - lam > TOL_X
     kink = (math.isinf(ls) or math.isinf(rs)
             or abs(ls - rs) > TOL_SLOPE)
@@ -273,9 +274,12 @@ def _has_cut_jump(curve):
     return False
 
 
-def class_membership(fz):
-    """Class flags for the four families."""
-    pts = classify_points(fz)
+def class_membership(fz, points=None):
+    """Class flags for the four families.
+
+    points is classify_points(fz), for a caller that has it already.
+    """
+    pts = classify_points(fz) if points is None else points
     in_fc = (_strictly_monotone_above_base(fz.left)
              and _strictly_monotone_above_base(fz.right))
     in_fn = not any(p.branch in ("left", "right") for p in pts)

@@ -87,6 +87,8 @@ def convolve(u, v):
 def scale(r, v):
     """Scalar multiple of a fuzzy number; r = 0 collapses to a point."""
     r = float(r)
+    if not math.isfinite(r):
+        raise ValueError("scale factor r must be finite, got %r" % (r,))
     if r == 0.0:
         return crisp_point(0.0)
     if r < 0.0:

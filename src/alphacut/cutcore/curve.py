@@ -16,6 +16,9 @@ MONO_TAGS = ("inc", "dec", "const")
 
 LEVEL_TOL = 1e-12
 
+# halvings allowed per membership bisection
+BISECT_STEPS = 200
+
 
 class ExprFn:
     """Segment function backed by a symbolic expression in the level."""
@@ -334,12 +337,20 @@ class CutCurve:
             for s in self.segments])
 
     def negated(self):
-        """The curve of -x: every value negated, inc and dec swapped."""
+        """The curve of -x: every value negated, inc and dec swapped.
+
+        Negation keeps every level and ownership flag and flips each
+        derivative's sign exactly, and check_mono's tolerances are
+        symmetric, so the result passes every check this curve passed
+        and is built without running them again.
+        """
         flip = {"inc": "dec", "dec": "inc", "const": "const"}
-        return CutCurve([
+        out = CutCurve.__new__(CutCurve)
+        out.segments = [
             Segment(s.lo, s.hi, fn_scale(-1.0, s.fn), flip[s.mono],
                     s.own_right)
-            for s in self.segments])
+            for s in self.segments]
+        return out
 
     def __repr__(self):
         return "CutCurve(%r)" % (self.segments,)
@@ -562,20 +573,71 @@ def _scan(curve, x, strict):
             # a few ulps past it through cancellation in fn
             best = max(best, s.lo)
             break
+        best = max(best, _bisect(s.fn, s.lo, s.hi, x, strict, BISECT_STEPS))
+        break
+    return best
+
+
+def _bisect(fn, lo, hi, x, strict, n):
+    """Halve [lo, hi] at most n times, keeping fn(lo) <= x (< x if strict)."""
+    for _ in range(n):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        v = fn(mid)
+        if v < x or (v == x and not strict):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _scan_pair(curve, x):
+    """(_scan(curve, x, False), _scan(curve, x, True)) from one walk.
+
+    The predicates v <= x and v < x agree wherever v != x, so the two
+    scans make the same decisions until a compared value equals x.  A
+    bisection midpoint with fn(mid) == x parts them: the non-strict
+    scan goes on in [mid, hi] and the strict one in [lo, mid], each
+    with the halvings it has left.  A segment end or zero-width value
+    equal to x takes the two plain scans instead.
+    """
+    best = 0.0
+    for s in curve.segments:
+        if s.width == 0.0:
+            v = s.fn(s.lo)
+            if v == x:
+                return _scan(curve, x, False), _scan(curve, x, True)
+            if v < x:
+                best = max(best, s.lo)
+                continue
+            return best, best
+        flo = s.fn(s.lo)
+        fhi = s.fn(s.hi)
+        if flo == x or fhi == x:
+            return _scan(curve, x, False), _scan(curve, x, True)
+        if fhi < x:
+            best = s.hi
+            continue
+        if flo > x or s.mono == "const":
+            return best, best
+        fn = s.fn
         lo, hi = s.lo, s.hi
-        for _ in range(200):
+        for i in range(BISECT_STEPS):
             mid = 0.5 * (lo + hi)
             if mid == lo or mid == hi:
                 break
-            v = s.fn(mid)
-            ok = (v < x) if strict else (v <= x)
-            if ok:
+            v = fn(mid)
+            if v == x:
+                n = BISECT_STEPS - 1 - i
+                return (max(best, _bisect(fn, mid, hi, x, False, n)),
+                        max(best, _bisect(fn, lo, mid, x, True, n)))
+            if v < x:
                 lo = mid
             else:
                 hi = mid
-        best = max(best, lo)
-        break
-    return best
+        return max(best, lo), max(best, lo)
+    return best, best
 
 
 def membership(fz, x):
@@ -607,6 +669,22 @@ def membership_outer_limit(fz, x):
     if x >= core.hi:
         return _scan(fz.mirror.left, -x, strict=True)
     return 1.0
+
+
+def membership_pair(fz, x):
+    """(membership(fz, x), membership_outer_limit(fz, x)), bitwise.
+
+    Off the core and inside the support both levels scan the same left
+    curve, so one shared walk answers both; elsewhere this is the two
+    calls.
+    """
+    sup = fz.support
+    core = fz.core
+    if sup.lo < x < core.lo:
+        return _scan_pair(fz.left, x)
+    if core.hi < x < sup.hi:
+        return _scan_pair(fz.mirror.left, -x)
+    return membership(fz, x), membership_outer_limit(fz, x)
 
 
 def sample(fz, grid):

@@ -91,13 +91,14 @@ def _zero_below_top(curve):
     return _is_zero_slope(curve.deriv_below(1.0))
 
 
-def _requirement_levels(u, branch):
+def _requirement_levels(u, branch, points):
     """Levels on one branch of u that force zero slope in a smoother.
 
-    Returns a dict with the base level, the interior defect levels,
-    the jump limit levels, whether the core endpoint is defective,
-    and the base strong-endpoint level when that point is defective.
-    The right branch is read as the left branch of the mirror -u.
+    points is classify_points(u).  Returns a dict with the base level,
+    the interior defect levels, the jump limit levels, whether the core
+    endpoint is defective, and the base strong-endpoint level when that
+    point is defective.  The right branch is read as the left branch of
+    the mirror -u.
     """
     m = u if branch == "left" else u.mirror
     sup = m.support
@@ -105,7 +106,7 @@ def _requirement_levels(u, branch):
     base = membership(m, sup.lo)
     interior = set()
     limits = set()
-    for pt in classify_points(u):
+    for pt in points:
         if pt.branch == branch:
             interior.add(pt.level)
             if pt.kind == "jump":
@@ -135,8 +136,13 @@ def _check_levels(w_curve, levels):
     return good, bad
 
 
-def check_smoother_conditions(u, w):
-    """Evaluate every smoother condition of w against u."""
+def check_smoother_conditions(u, w, u_points=None):
+    """Evaluate every smoother condition of w against u.
+
+    u_points is classify_points(u), for a caller that has it already.
+    """
+    if u_points is None:
+        u_points = classify_points(u)
     rep = ConditionReport()
     wl, wr = w.left, w.right
 
@@ -148,8 +154,8 @@ def check_smoother_conditions(u, w):
     rep.set("i", "pass" if base_ok else "fail",
             () if base_ok else (ub_l, ub_r))
 
-    req_l = _requirement_levels(u, "left")
-    req_r = _requirement_levels(u, "right")
+    req_l = _requirement_levels(u, "left", u_points)
+    req_r = _requirement_levels(u, "right", u_points)
 
     for key, req, wc in (("ii-1", req_l, wl), ("ii-2", req_r, wr)):
         if not req["core_defect"]:
@@ -181,7 +187,7 @@ def check_smoother_conditions(u, w):
 
     rep.candidate_in_FD = class_membership(w).in_FD
 
-    uf = class_membership(u)
+    uf = class_membership(u, u_points)
     i_ok = rep.passes("i")
     ii_ok = rep.passes("ii-1", "ii-2")
     iv_ok = rep.passes("iv-1", "iv-2")
@@ -322,8 +328,9 @@ def _two_generator(spec):
 
 def family(spec):
     """Instantiate a stock smoother family from its spec."""
-    if spec.p <= 0.0:
-        raise ValueError("family spread p must be positive")
+    if not 0.0 < spec.p < math.inf:
+        raise ValueError("family spread p must be finite and positive, "
+                         "got %r" % (spec.p,))
     if spec.family == "parabola":
         left, right = _parabola_cuts(spec.p)
         return FuzzyNum(left, right, name="parabola(p=%r)" % spec.p)
@@ -346,9 +353,9 @@ def family(spec):
         "synthesize_smoother(u, p) instead")
 
 
-def _branch_step_levels(u, branch):
+def _branch_step_levels(u, branch, points):
     """Knot levels for one synthesized branch: base, defects, top."""
-    req = _requirement_levels(u, branch)
+    req = _requirement_levels(u, branch, points)
     base = req["base"]
     inner = sorted(set(req["interior"]) | set(req["limits"]))
     levels = [base]
@@ -386,9 +393,9 @@ def _cosine_step(s0, s1, x0, dx, rising, last):
     return Segment(s0, s1, ExprFn(body), "dec")
 
 
-def _synth_branch(u, branch, p, lipschitz_cap):
+def _synth_branch(u, branch, p, lipschitz_cap, points):
     """One cut curve of the synthesized smoother, plus its halfwidth."""
-    levels = _branch_step_levels(u, branch)
+    levels = _branch_step_levels(u, branch, points)
     base = levels[0]
     if base >= 1.0 - TOL:
         # this side of u is already crisp; pin the branch at zero
@@ -421,10 +428,12 @@ def synthesize_smoother(u, p, preserve_core=False, lipschitz_cap=None):
     request, which happens only for crisp u with preserve_core set.
     """
     p = float(p)
-    if p <= 0.0:
-        raise ValueError("smoother halfwidth p must be positive")
-    if lipschitz_cap is not None and lipschitz_cap <= 0.0:
-        raise ValueError("lipschitz cap must be positive")
+    if not 0.0 < p < math.inf:
+        raise ValueError("smoother halfwidth p must be finite and positive, "
+                         "got %r" % (p,))
+    if lipschitz_cap is not None and not 0.0 < lipschitz_cap < math.inf:
+        raise ValueError("lipschitz_cap must be finite and positive, got %r"
+                         % (lipschitz_cap,))
     base_l = membership(u, u.support.lo)
     base_r = membership(u, u.support.hi)
     if base_l >= 1.0 - TOL and base_r >= 1.0 - TOL:
@@ -437,12 +446,13 @@ def synthesize_smoother(u, p, preserve_core=False, lipschitz_cap=None):
         left = CutCurve([Segment(0.0, 1.0, ExprFn(ex.const(-p)), "const")])
         right = CutCurve([Segment(0.0, 1.0, ExprFn(ex.const(p)), "const")])
         return FuzzyNum(left, right, name="synthesized(p=%r)" % (p,))
-    left, _ = _synth_branch(u, "left", p, lipschitz_cap)
-    right, _ = _synth_branch(u, "right", p, lipschitz_cap)
+    points = classify_points(u)
+    left, _ = _synth_branch(u, "left", p, lipschitz_cap, points)
+    right, _ = _synth_branch(u, "right", p, lipschitz_cap, points)
     w = FuzzyNum(left, right, name="synthesized(p=%r)" % (p,))
     if preserve_core:
         w = core_preserving_shift(w)
-    rep = check_smoother_conditions(u, w)
+    rep = check_smoother_conditions(u, w, points)
     if rep.theorem == "none":
         raise SmootherConditionError(
             "synthesized smoother failed its own conditions: %s"

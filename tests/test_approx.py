@@ -120,6 +120,17 @@ def test_schedule_validation():
     assert default_schedule(5) == [1.0, 0.5, 1.0 / 3.0, 0.25, 0.2]
 
 
+@pytest.mark.parametrize("schedule", [[math.nan], [math.inf], [-math.inf],
+                                      [1.0, math.nan], [math.inf, 0.5]])
+def test_schedule_rejects_non_finite_entries(schedule):
+    """nan compares false and inf passes as positive; both are refused."""
+    u = load_fixture("triangle")
+    w = synthesize_smoother(u, 0.5)
+    with pytest.raises(ValueError) as err:
+        approximate(u, w, schedule=schedule)
+    assert "schedule" in str(err.value)
+
+
 def test_measured_error_agrees_with_grid_metric():
     u = load_fixture("triangle")
     w = load_fixture("parabola")

@@ -147,6 +147,13 @@ def test_scale_by_zero_collapses_to_crisp_zero():
     assert membership(g, 0.0) == 1.0
 
 
+@pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+def test_scale_rejects_non_finite_factor(r):
+    with pytest.raises(ValueError) as err:
+        scale(r, load_fixture("parabola"))
+    assert "scale factor r" in str(err.value)
+
+
 def test_scale_by_one_is_identity():
     u = load_fixture("asymmetric-kink")
     g = scale(1.0, u)

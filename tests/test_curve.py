@@ -7,8 +7,10 @@ import weakref
 import pytest
 
 from alphacut import (CutCurve, FuzzyNum, Interval, Segment, alpha_cut,
-                      membership, membership_outer_limit, sample,
-                      strong_cut, validate)
+                      convolve, membership, membership_outer_limit, sample,
+                      scale, strong_cut, synthesize_smoother, validate)
+from alphacut.calculus import singular_at
+from alphacut.cutcore.curve import membership_pair
 from alphacut.errors import StructuralError
 from conftest import load_fixture
 
@@ -194,6 +196,62 @@ def test_outer_limit_semantics():
     assert membership_outer_limit(fz, 0.0) in (0.5, 1.0)
 
 
+def _square_number():
+    return FuzzyNum(CutCurve([Segment(0.0, 1.0, "a*a - 1", "inc")]),
+                    CutCurve([Segment(0.0, 1.0, "1 - a*a", "dec")]))
+
+
+def test_pair_scan_parts_at_the_first_halving():
+    """fn(mid) == x at the first midpoint: the two scans part at once."""
+    fz = _square_number()
+    s = fz.left.segments[0]
+    x = s.fn(0.5 * (s.lo + s.hi))
+    assert x == -0.75
+    for num, at in ((fz, x), (fz.mirror, -x)):
+        level, outer = membership_pair(num, at)
+        assert level.hex() == membership(num, at).hex()
+        assert outer.hex() == membership_outer_limit(num, at).hex()
+        # the non-strict scan keeps the midpoint, the strict one stays
+        # below it
+        assert level == 0.5
+        assert outer < level
+
+
+class _Counted:
+    """A segment function that counts its evaluations."""
+
+    def __init__(self, fn, tally):
+        self.fn = fn
+        self.tally = tally
+
+    def __call__(self, alpha):
+        self.tally[0] += 1
+        return self.fn(alpha)
+
+    def deriv(self, alpha):
+        return self.fn.deriv(alpha)
+
+
+def test_singular_at_scans_each_probe_once():
+    """A probe costs about one scan; two scans would cost about 2x."""
+    u = load_fixture("tail-jump")
+    step = convolve(u, scale(0.5, synthesize_smoother(u, 0.5)))
+    tally = [0]
+    for curve in (step.left, step.right, step.mirror.left, step.mirror.right):
+        for seg in curve.segments:
+            seg.fn = _Counted(seg.fn, tally)
+    sup = step.support
+    xs = [sup.lo + sup.width * k / 200 for k in range(1, 200)]
+    for x in xs:
+        membership(step, x)
+    alone = tally[0]
+    tally[0] = 0
+    for x in xs:
+        singular_at(step, x)
+    assert alone > 0
+    assert tally[0] < 1.3 * alone, (tally[0], alone)
+
+
 def test_interval_type():
     iv = Interval(1.0, 3.0)
     assert iv == (1.0, 3.0)
@@ -257,6 +315,33 @@ def test_negated_curve_and_mirror():
     assert m.support == (-fz.support.hi, -fz.support.lo)
     assert m.core == (-fz.core.hi, -fz.core.lo)
     assert validate(m).ok
+
+
+def test_negation_skips_the_checks_it_cannot_break():
+    """negated() evaluates no derivative, yet its segments pass check_mono."""
+    tally = [0]
+
+    class _CountedDeriv:
+        def __init__(self, fn):
+            self.fn = fn
+
+        def __call__(self, alpha):
+            return self.fn(alpha)
+
+        def deriv(self, alpha):
+            tally[0] += 1
+            return self.fn.deriv(alpha)
+
+    c = CutCurve([Segment(s.lo, s.hi, _CountedDeriv(s.fn), s.mono,
+                          s.own_right)
+                  for s in load_fixture("tail-jump").left.segments])
+    tally[0] = 0
+    n = c.negated()
+    assert tally[0] == 0
+    for s in n.segments:
+        s.check_mono()
+    assert tally[0] > 0
+    assert CutCurve(n.segments).breakpoints() == c.breakpoints()
 
 
 def test_mirror_keeps_no_reference_to_its_number():

@@ -9,7 +9,8 @@ from alphacut import (alpha_cut, class_membership, classify_points, convolve,
                       scale, strong_cut, sup_metric, synthesize_smoother,
                       validate)
 from alphacut.convolve import EndpointSpec, predicted_derivative
-from alphacut.calculus import left_deriv, right_deriv
+from alphacut.calculus import candidate_points, left_deriv, right_deriv
+from alphacut.cutcore.curve import membership_pair
 
 import oracles
 from conftest import fuzzy_numbers, fuzzy_pairs, load_fixture
@@ -120,6 +121,44 @@ def test_negation_mirrors_membership_and_slopes_bitwise(fz):
             membership_outer_limit(fz, x)
         assert float(right_deriv(fz, x)) == -float(left_deriv(n, -x))
         assert float(left_deriv(fz, x)) == -float(right_deriv(n, -x))
+
+
+def _pair_probes(fz):
+    """Grid, candidate points, core and support ends, 1 ulp either side."""
+    sup, core = fz.support, fz.core
+    xs = [sup.lo + (sup.hi - sup.lo) * (k / 32) for k in range(33)]
+    xs += candidate_points(fz) + [sup.lo, sup.hi, core.lo, core.hi]
+    out = set()
+    for x in xs:
+        out.update((math.nextafter(x, -math.inf), x,
+                    math.nextafter(x, math.inf)))
+    return sorted(out) + [math.nan]
+
+
+def _assert_pair_is_both_scans(fz, x):
+    got = membership_pair(fz, x)
+    want = (membership(fz, x), membership_outer_limit(fz, x))
+    assert [v.hex() for v in got] == [v.hex() for v in want], x
+
+
+@given(fuzzy_numbers())
+def test_membership_pair_is_both_scans_bitwise(fz):
+    """One shared walk gives what the two separate scans give."""
+    neg = scale(-1.0, fz)
+    for x in _pair_probes(fz):
+        _assert_pair_is_both_scans(fz, x)
+        _assert_pair_is_both_scans(neg, -x)
+
+
+@given(st.sampled_from(["tail-jump", "split-peak", "cosine-tail",
+                        "asymmetric-kink"]))
+def test_membership_pair_is_both_scans_on_smoothing_steps(name):
+    """The same on curved segments: cosine smoothers added to the fixture."""
+    u = load_fixture(name)
+    step = convolve(u, scale(0.5, synthesize_smoother(u, 0.5)))
+    for fz in (u, step):
+        for x in _pair_probes(fz):
+            _assert_pair_is_both_scans(fz, x)
 
 
 @given(fuzzy_numbers())

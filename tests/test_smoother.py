@@ -11,6 +11,7 @@ from alphacut import (SmootherConditionError, SmootherFamilySpec, alpha_cut,
                       family, from_membership_pieces, lipschitz_estimate,
                       membership, right_deriv, scale, synthesize_smoother,
                       validate)
+from alphacut import calculus, smoother
 from conftest import EXAMPLE_NAMES, load_fixture
 
 LEVELS = [k / 20.0 for k in range(21)]
@@ -212,6 +213,40 @@ def test_synthesis_rejects_bad_parameters():
         synthesize_smoother(u, 0.0)
     with pytest.raises(ValueError):
         synthesize_smoother(u, 1.0, lipschitz_cap=-1.0)
+
+
+def test_singular_points_are_classified_once_per_number(monkeypatch):
+    """Synthesis and the condition check classify u and w once each."""
+    seen = []
+    real = calculus.classify_points
+
+    def counted(fz):
+        seen.append(fz)
+        return real(fz)
+    monkeypatch.setattr(calculus, "classify_points", counted)
+    monkeypatch.setattr(smoother, "classify_points", counted)
+    u = load_fixture("tail-jump")
+    w = synthesize_smoother(u, 0.5)
+    assert [id(fz) for fz in seen] == [id(u), id(w)]
+    del seen[:]
+    check_smoother_conditions(u, w)
+    assert sorted(map(id, seen)) == sorted((id(u), id(w)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameters_are_rejected_by_name(bad):
+    """A non-finite p or cap is a ValueError naming it, not a failed check."""
+    u = load_fixture("triangle")
+    with pytest.raises(ValueError) as err:
+        synthesize_smoother(u, bad)
+    assert "halfwidth p" in str(err.value)
+    with pytest.raises(ValueError) as err:
+        synthesize_smoother(u, 0.5, lipschitz_cap=bad)
+    assert "lipschitz_cap" in str(err.value)
+    for name in ("parabola", "clipped"):
+        with pytest.raises(ValueError) as err:
+            family(SmootherFamilySpec(name, p=bad))
+        assert "spread p" in str(err.value)
 
 
 @pytest.mark.parametrize("name", EXAMPLE_NAMES)
