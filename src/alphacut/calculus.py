@@ -274,12 +274,9 @@ def _has_cut_jump(curve):
     return False
 
 
-def class_membership(fz, points=None):
-    """Class flags for the four families.
-
-    points is classify_points(fz), for a caller that has it already.
-    """
-    pts = classify_points(fz) if points is None else points
+def class_membership(fz):
+    """Class flags for the four families."""
+    pts = classify_points(fz)
     in_fc = (_strictly_monotone_above_base(fz.left)
              and _strictly_monotone_above_base(fz.right))
     in_fn = not any(p.branch in ("left", "right") for p in pts)

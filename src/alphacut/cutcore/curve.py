@@ -337,20 +337,12 @@ class CutCurve:
             for s in self.segments])
 
     def negated(self):
-        """The curve of -x: every value negated, inc and dec swapped.
-
-        Negation keeps every level and ownership flag and flips each
-        derivative's sign exactly, and check_mono's tolerances are
-        symmetric, so the result passes every check this curve passed
-        and is built without running them again.
-        """
+        """The curve of -x: every value negated, inc and dec swapped."""
         flip = {"inc": "dec", "dec": "inc", "const": "const"}
-        out = CutCurve.__new__(CutCurve)
-        out.segments = [
+        return CutCurve([
             Segment(s.lo, s.hi, fn_scale(-1.0, s.fn), flip[s.mono],
                     s.own_right)
-            for s in self.segments]
-        return out
+            for s in self.segments])
 
     def __repr__(self):
         return "CutCurve(%r)" % (self.segments,)

@@ -136,13 +136,8 @@ def _check_levels(w_curve, levels):
     return good, bad
 
 
-def check_smoother_conditions(u, w, u_points=None):
-    """Evaluate every smoother condition of w against u.
-
-    u_points is classify_points(u), for a caller that has it already.
-    """
-    if u_points is None:
-        u_points = classify_points(u)
+def check_smoother_conditions(u, w):
+    """Evaluate every smoother condition of w against u."""
     rep = ConditionReport()
     wl, wr = w.left, w.right
 
@@ -154,8 +149,9 @@ def check_smoother_conditions(u, w, u_points=None):
     rep.set("i", "pass" if base_ok else "fail",
             () if base_ok else (ub_l, ub_r))
 
-    req_l = _requirement_levels(u, "left", u_points)
-    req_r = _requirement_levels(u, "right", u_points)
+    points = classify_points(u)
+    req_l = _requirement_levels(u, "left", points)
+    req_r = _requirement_levels(u, "right", points)
 
     for key, req, wc in (("ii-1", req_l, wl), ("ii-2", req_r, wr)):
         if not req["core_defect"]:
@@ -187,7 +183,7 @@ def check_smoother_conditions(u, w, u_points=None):
 
     rep.candidate_in_FD = class_membership(w).in_FD
 
-    uf = class_membership(u, u_points)
+    uf = class_membership(u)
     i_ok = rep.passes("i")
     ii_ok = rep.passes("ii-1", "ii-2")
     iv_ok = rep.passes("iv-1", "iv-2")
@@ -452,7 +448,7 @@ def synthesize_smoother(u, p, preserve_core=False, lipschitz_cap=None):
     w = FuzzyNum(left, right, name="synthesized(p=%r)" % (p,))
     if preserve_core:
         w = core_preserving_shift(w)
-    rep = check_smoother_conditions(u, w, points)
+    rep = check_smoother_conditions(u, w)
     if rep.theorem == "none":
         raise SmootherConditionError(
             "synthesized smoother failed its own conditions: %s"
