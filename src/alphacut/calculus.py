@@ -8,12 +8,16 @@ as a constant cut segment) gives an infinite slope.
 """
 
 import math
+import weakref
 
-from .cutcore.curve import membership, membership_pair
+from .cutcore import expr as ex
+from .cutcore.curve import ExprFn, membership, membership_pair
 
 TOL_X = 1e-9
 TOL_SLOPE = 1e-6
 FD_LADDER = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
+# halvings of a segment's level range while proving it regular
+PROOF_DEPTH = 8
 
 
 class ExtendedSlope:
@@ -231,17 +235,161 @@ def singular_at(fz, x):
                          lam if jump else None, ls, rs)
 
 
+def regular_intervals(fz):
+    """Sorted disjoint open intervals of x where singular_at(fz, x) is None.
+
+    Each interval is proven, not sampled.  On the core's inside,
+    core.lo + TOL_X < x < core.hi - TOL_X, membership and its outer
+    limit are both 1 and both slopes 0.  Off the core, take a left
+    curve L (fz.left at x, or fz.mirror.left at -x for the right
+    branch) and an ExprFn segment of L tagged inc.  Its level range is
+    cut into pieces that keep 2*TOL_X away from every junction level
+    of both curves and from 0 and 1; a piece is proven when the
+    enclosure of the level derivative has a lower bound d above TOL_X
+    and with d*TOL_X above four times the bound on the segment
+    function's rounding error.  An x is covered by a piece when it lies
+    above every value of the earlier segments and outside the value
+    enclosures of the rest of its own segment, and x < core.lo - TOL_X
+    (on the mirror).  Then singular_at finds nothing at x:
+
+    - The membership scan passes every earlier segment and bisects
+      this one.  Its last bracket is two neighbouring floats (or
+      narrower than any piece's distance from 0), with the segment
+      function at or below x on one and at or above x on the other, so
+      both sit in one part of the segment whose enclosure holds x: the
+      piece.  Nothing is snapped there, since _snap_level moves levels
+      by at most TOL_X.
+    - The level rho lies inside one segment of both curves, so the left
+      slope reads fn.deriv(rho) through the left curve and the right
+      slope reads it through the negated curve; negation is exact, so
+      the two slopes are the same float, and the derivative floor makes
+      it finite.
+    - The strict and non-strict scans part only where the computed
+      function equals x.  Were their levels more than TOL_X apart, the
+      computed function would fall by a level step of TOL_X on which
+      the exact one rises by at least d*TOL_X, more than twice the
+      rounding bound allows.  So there is no jump.
+    """
+    levels = {0.0, 1.0}
+    for curve in (fz.left, fz.right):
+        levels.update(s.hi for s in curve.segments[:-1])
+    levels = sorted(levels)
+    core = fz.core
+    spans = [(core.lo + TOL_X, core.hi - TOL_X)]
+    edge = core.lo - TOL_X
+    spans += [(lo, min(hi, edge)) for lo, hi in _curve_spans(fz.left, levels)]
+    edge = fz.mirror.core.lo - TOL_X
+    spans += [(-min(hi, edge), -lo)
+              for lo, hi in _curve_spans(fz.mirror.left, levels)]
+    merged = []
+    for lo, hi in sorted(s for s in spans if s[0] < s[1]):
+        if merged and lo < merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        else:
+            merged.append((lo, hi))
+    return merged
+
+
+def _curve_spans(curve, levels):
+    """Open x intervals whose scan of the left curve lands in a proof."""
+    out = []
+    below = -math.inf  # every value the scan meets before this segment
+    for s in curve.segments:
+        if s.width > 0.0 and s.mono == "inc" and isinstance(s.fn, ExprFn):
+            out += _segment_spans(s, levels, below)
+        below = _past(below, (s.fn(s.lo), s.fn(s.hi)))
+    return out
+
+
+def _past(below, values):
+    """The largest of below and values; a NaN value gives inf."""
+    for v in values:
+        below = max(below, v) if v == v else math.inf
+    return below
+
+
+def _segment_spans(s, levels, below):
+    """_curve_spans for one segment, given the values below it."""
+    f = ex.enclosed(s.fn.expr)
+    df = ex.enclosed(ex.derivative(s.fn.expr))
+    margin = 2.0 * TOL_X
+    parts = []  # (value lo, value hi, derivative floor or None, error)
+    cur = s.lo
+    for j in levels:
+        if j + margin < s.lo or j - margin > s.hi:
+            continue
+        lo, hi = max(j - margin, s.lo), min(j + margin, s.hi)
+        if lo > cur:
+            _prove(f, df, cur, lo, PROOF_DEPTH, parts)
+            cur = lo
+        if hi > cur:
+            parts.append(f(cur, hi)[:2] + (None, None))
+            cur = hi
+    if cur < s.hi:
+        _prove(f, df, cur, s.hi, PROOF_DEPTH, parts)
+    # above[i]: the least value of parts i..; a NaN bound stops coverage
+    above = [math.inf]
+    for v0, _, _, _ in reversed(parts):
+        above.append(min(above[-1], v0) if v0 == v0 else -math.inf)
+    above.reverse()
+    out = []
+    i = 0
+    while i < len(parts):
+        d, err = parts[i][2:]
+        j = i + 1
+        if d is not None:
+            while j < len(parts) and parts[j][2] is not None:
+                d2, err2 = min(d, parts[j][2]), max(err, parts[j][3])
+                if not _proven(d2, err2):
+                    break
+                d, err = d2, err2
+                j += 1
+            if below < above[j]:
+                out.append((below, above[j]))
+        below = _past(below, (p[1] for p in parts[i:j]))
+        i = j
+    return out
+
+
+def _prove(f, df, lo, hi, depth, parts):
+    """Append proven and unproven parts of [lo, hi], in level order."""
+    v0, v1, err = f(lo, hi)
+    d = df(lo, hi)[0]
+    mid = 0.5 * (lo + hi)
+    if _proven(d, err):
+        parts.append((v0, v1, d, err))
+    elif depth and lo < mid < hi:
+        _prove(f, df, lo, mid, depth - 1, parts)
+        _prove(f, df, mid, hi, depth - 1, parts)
+    else:
+        parts.append((v0, v1, None, None))
+
+
+def _proven(d, err):
+    """A derivative floor d that keeps slopes finite and, against the
+    rounding bound err, keeps the two scans within TOL_X."""
+    return d > TOL_X and d * TOL_X > 4.0 * err
+
+
+# the singular points of each number, found once: left and right are
+# never reassigned, and the entry goes when the number does
+_POINTS = weakref.WeakKeyDictionary()
+
+
 def classify_points(fz):
     """All membership singular points strictly inside the support."""
-    sup = fz.support
-    out = []
-    for x in candidate_points(fz):
-        if x - sup.lo <= TOL_X or sup.hi - x <= TOL_X:
-            continue
-        p = singular_at(fz, x)
-        if p is not None:
-            out.append(p)
-    return out
+    pts = _POINTS.get(fz)
+    if pts is None:
+        sup = fz.support
+        pts = []
+        for x in candidate_points(fz):
+            if x - sup.lo <= TOL_X or sup.hi - x <= TOL_X:
+                continue
+            p = singular_at(fz, x)
+            if p is not None:
+                pts.append(p)
+        _POINTS[fz] = pts
+    return list(pts)
 
 
 def _base_run_end(curve):

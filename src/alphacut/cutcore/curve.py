@@ -201,22 +201,27 @@ class Segment:
         return self.hi - self.lo
 
     def check_mono(self):
-        """Raise if the sampled derivative contradicts the tag."""
+        """Raise if the sampled derivative contradicts the tag.
+
+        The tolerance is 1e-9 times the value's magnitude, at least 1,
+        so scaling a segment by c > 0 never makes it fail where the
+        value is at least 1 in magnitude or c is at most 1.
+        """
         if self.width == 0.0:
             return
         pts = [self.lo + self.width * t for t in
                (0.1, 0.3, 0.5, 0.7, 0.9)]
         for a in pts:
             d = self.fn.deriv(a)
-            if self.mono == "inc" and d < -1e-9:
+            if self.mono == "inc":
+                bad, what = -d, "decreases"
+            elif self.mono == "dec":
+                bad, what = d, "increases"
+            else:
+                bad, what = abs(d), "varies"
+            if bad > 1e-9 and bad > 1e-9 * max(1.0, abs(self.fn(a))):
                 raise StructuralError(
-                    "segment tagged inc decreases at level %r" % (a,))
-            if self.mono == "dec" and d > 1e-9:
-                raise StructuralError(
-                    "segment tagged dec increases at level %r" % (a,))
-            if self.mono == "const" and abs(d) > 1e-9:
-                raise StructuralError(
-                    "segment tagged const varies at level %r" % (a,))
+                    "segment tagged %s %s at level %r" % (self.mono, what, a))
 
     def __repr__(self):
         t = self.fn.text()

@@ -9,6 +9,7 @@ what the slope machinery relies on.
 import math
 
 from ..errors import ParseError
+from .enclose import enclosed  # noqa: F401  (part of this module's API)
 
 _FUNCS = ("sqrt", "sin", "cos", "asin", "acos")
 
@@ -21,13 +22,14 @@ class Expr:
     float payload for const/scal and the (num, den) pair for rpow.
     """
 
-    __slots__ = ("kind", "args", "value", "_fn")
+    __slots__ = ("kind", "args", "value", "_fn", "_iv")
 
     def __init__(self, kind, args=(), value=None):
         self.kind = kind
         self.args = tuple(args)
         self.value = value
         self._fn = None  # the compiled closure, built on first evaluation
+        self._iv = None  # the enclosure closure, built on first use
 
     def __repr__(self):
         return "Expr(%s)" % to_text(self)

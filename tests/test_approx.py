@@ -3,14 +3,16 @@
 import math
 
 import pytest
+from hypothesis import given, settings
 
-from alphacut import (SmootherConditionError, SmootherFamilySpec, alpha_cut,
-                      approximate, class_membership, convolve,
+from alphacut import (CutCurve, FuzzyNum, Segment, SmootherConditionError,
+                      SmootherFamilySpec, alpha_cut, approx, approximate,
+                      calculus, class_membership, convolve,
                       core_preserving_shift, crisp_point, default_schedule,
                       family, left_deriv, lipschitz_estimate,
                       preservation_report, right_deriv, scale,
                       synthesize_smoother, verify_smoothness)
-from conftest import load_fixture
+from conftest import FIXTURE_NAMES, fuzzy_numbers, fuzzy_pairs, load_fixture
 
 import oracles
 
@@ -55,6 +57,123 @@ def test_verifier_grid_size_is_tunable():
     rep = verify_smoothness(load_fixture("parabola"), grid=50)
     assert rep.overall
     assert rep.probed < 100
+
+
+def _probe_everything(fz, grid=1000):
+    """verify_smoothness as it reads without proofs: every abscissa
+    goes through singular_at."""
+    sup = fz.support
+    xs = set(x for x in calculus.candidate_points(fz)
+             if x - sup.lo > 1e-9 and sup.hi - x > 1e-9)
+    if sup.width > 0.0:
+        for k in range(1, grid):
+            x = sup.lo + sup.width * k / grid
+            if x - sup.lo > 1e-9 and sup.hi - x > 1e-9:
+                xs.add(x)
+    found = (calculus.singular_at(fz, x) for x in sorted(xs))
+    failures = [p for p in found if p is not None]
+    overall = not failures and class_membership(fz).in_FD
+    return _bits(len(xs), failures, overall)
+
+
+def _bits(probed, failures, overall):
+    """A report as exact text: repr keeps every float bit and -0.0."""
+    return (probed, overall, [repr((p.x, p.kind, p.branch, p.level,
+                                    p.outer_limit, p.left_slope,
+                                    p.right_slope)) for p in failures])
+
+
+def _report_bits(fz):
+    rep = verify_smoothness(fz)
+    return _bits(rep.probed, rep.failures, rep.overall)
+
+
+VARIANTS = {"plain": {}, "core": {"preserve_core": True},
+            "lip": {"lipschitz_cap": 2.0}}
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_proofs_leave_every_report_bitwise_unchanged(name):
+    """Skipping proven abscissas gives the full probe's report, on u,
+    each synthesized smoother and each smoothing step."""
+    u = load_fixture(name)
+    assert _report_bits(u) == _probe_everything(u)
+    for kw in VARIANTS.values():
+        try:
+            w = synthesize_smoother(u, 0.5, **kw)
+        except SmootherConditionError:
+            continue  # a crisp point admits no core-preserving smoother
+        assert _report_bits(w) == _probe_everything(w)
+        for p in (1.0, 0.5, 1.0 / 7.0, 1.0 / 20.0):
+            step = convolve(u, scale(p, w))
+            assert _report_bits(step) == _probe_everything(step), (kw, p)
+
+
+@settings(max_examples=25)
+@given(fuzzy_numbers())
+def test_proofs_match_the_full_probe_on_random_numbers(fz):
+    assert _report_bits(fz) == _probe_everything(fz)
+
+
+@settings(max_examples=15)
+@given(fuzzy_pairs())
+def test_proofs_match_the_full_probe_on_random_sums(pair):
+    g = convolve(*pair)
+    assert _report_bits(g) == _probe_everything(g)
+
+
+def _edges(fz):
+    """Abscissas just inside each proven interval's ends, and its middle."""
+    for lo, hi in calculus.regular_intervals(fz):
+        yield math.nextafter(lo, math.inf)
+        yield 0.5 * (lo + hi)
+        yield math.nextafter(hi, -math.inf)
+
+
+@settings(max_examples=40)
+@given(fuzzy_numbers())
+def test_proven_intervals_are_regular_to_their_ends(fz):
+    for x in _edges(fz):
+        assert calculus.singular_at(fz, x) is None, x
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_proven_intervals_of_steps_are_regular_to_their_ends(name):
+    u = load_fixture(name)
+    w = synthesize_smoother(u, 0.5)
+    for fz in (u, w, convolve(u, scale(1.0 / 7.0, w))):
+        for x in _edges(fz):
+            assert calculus.singular_at(fz, x) is None, x
+
+
+def test_rounding_error_keeps_a_float_staircase_unproven():
+    """(a + 2^42) - 2^42 moves in steps of 2^-10: a slope of 1 on paper,
+    flat runs in floats.  Its rounding bound dwarfs TOL_X times the
+    slope, so the jumps a probe finds at the steps' values stay found."""
+    u = FuzzyNum(CutCurve([Segment(0.0, 1.0, "(a + 4398046511104) - "
+                                   "4398046511104 - 1", "inc")]),
+                 CutCurve([Segment(0.0, 1.0, "1 - a", "dec")]))
+    assert _report_bits(u) == _probe_everything(u)
+    jumps = [p.x for p in verify_smoothness(u).failures if p.kind == "jump"]
+    assert jumps == [-0.75, -0.5, -0.25]
+
+
+def test_proofs_spare_the_tail_jump_step_its_probes(monkeypatch):
+    """A proof that silently failed would fall back to probing: about
+    1,000 singular_at calls instead of a handful."""
+    u = load_fixture("tail-jump")
+    step = convolve(u, scale(0.5, synthesize_smoother(u, 0.5)))
+    calls = []
+    real = calculus.singular_at
+
+    def counted(fz, x):
+        calls.append(x)
+        return real(fz, x)
+    monkeypatch.setattr(calculus, "singular_at", counted)
+    monkeypatch.setattr(approx, "singular_at", counted)
+    rep = verify_smoothness(step)
+    assert rep.probed > 900
+    assert len(calls) < 50
 
 
 def test_approximate_produces_certified_steps():

@@ -6,10 +6,11 @@ import random
 
 import pytest
 
-from alphacut import (alpha_cut, class_membership, classify_points, convolve,
-                      from_membership_pieces, left_deriv, lipschitz_estimate,
-                      membership, numeric_slope, right_deriv, scale,
-                      singular_at, strong_cut, sup_metric)
+from alphacut import (alpha_cut, calculus, class_membership, classify_points,
+                      convolve, from_membership_pieces, left_deriv,
+                      lipschitz_estimate, membership, numeric_slope,
+                      right_deriv, scale, singular_at, strong_cut,
+                      sup_metric)
 from conftest import EXAMPLE_NAMES, FIXTURE_NAMES, load_fixture
 
 import oracles
@@ -308,3 +309,20 @@ def test_cut_continuity_iff_strong_cut_equality(name):
             reg = getattr(alpha_cut(fz, b), side)
             strong = getattr(strong_cut(fz, b), side)
             assert cont == (reg == strong)
+
+
+def test_classify_points_is_found_once_per_number(monkeypatch):
+    """A second classify_points(u) probes nothing and hands out an equal
+    list of its own."""
+    u = convolve(load_fixture("tail-jump"), load_fixture("parabola"))
+    first = classify_points(u)
+    assert first
+    calls = []
+    real = calculus.singular_at
+    monkeypatch.setattr(calculus, "singular_at",
+                        lambda fz, x: calls.append(x) or real(fz, x))
+    second = classify_points(u)
+    assert calls == []
+    assert second == first and second is not first
+    second.clear()
+    assert classify_points(u) == first

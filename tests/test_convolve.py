@@ -6,10 +6,10 @@ import random
 
 import pytest
 
-from alphacut import (EndpointSpec, alpha_cut, class_membership, convolve,
-                      crisp_point, endpoint_value, left_deriv, membership,
-                      predicted_derivative, right_deriv, scale, strong_cut,
-                      validate)
+from alphacut import (CutCurve, EndpointSpec, FuzzyNum, Segment, alpha_cut,
+                      class_membership, convolve, crisp_point, endpoint_value,
+                      left_deriv, membership, predicted_derivative,
+                      right_deriv, scale, strong_cut, validate)
 from conftest import FIXTURE_NAMES, load_fixture
 
 import oracles
@@ -152,6 +152,18 @@ def test_scale_rejects_non_finite_factor(r):
     with pytest.raises(ValueError) as err:
         scale(r, load_fixture("parabola"))
     assert "scale factor r" in str(err.value)
+
+
+def test_scale_keeps_a_number_that_validates():
+    """A slope inside the monotonicity tolerance stays inside it when
+    the values scale with it."""
+    u = FuzzyNum(CutCurve([Segment(0.0, 1.0, "-5e-10*a - 1", "inc")]),
+                 CutCurve([Segment(0.0, 1.0, "2 - a", "dec")]))
+    assert validate(u).ok
+    g = scale(10.0, u)
+    assert validate(g).ok
+    for a in LEVELS:
+        assert alpha_cut(g, a).lo == 10.0 * alpha_cut(u, a).lo
 
 
 def test_scale_by_one_is_identity():

@@ -1,6 +1,7 @@
 """Expression tree: parsing, printing, evaluation, differentiation."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, reject, settings, strategies as st
@@ -318,3 +319,74 @@ def test_compiled_closure_is_built_once_per_node():
     assert ex.compiled(e) is f
     inner = e.args[0]
     assert ex.compiled(inner) is ex.compiled(inner)
+
+
+# --- interval enclosures against the point evaluator --------------------
+
+
+@settings(max_examples=500)
+@given(_EXPRESSIONS, st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+@example("sqrt(a)", 0.0, 0.5)
+@example("a^(-1)", 0.0, 0.25)
+@example("(a - 0.5)^(-2)", 0.5, 0.75)
+@example("asin(2*a - 1)", 1.0, 0.0)
+@example("acos(4*a)", 0.5, 0.0)
+@example("sin(3.25*a)*cos(2*a)", 0.5, 0.25)
+@example("(a^(-1)*a)^(3/2)", 0.0, 1.0)
+@example("sqrt(a)*a + asin(a)", 1.0, 1.0)
+def test_enclosure_holds_the_point_value(text, t, s):
+    """The value at t lies in the enclosure of [t, t] and of every
+    interval around t, or the enclosure is NaN."""
+    try:
+        e = ex.parse(text)
+        nodes = (e, ex.derivative(e))
+    except OverflowError:
+        reject()
+    for node in nodes:
+        try:
+            v = reference_evaluate(node, t)
+        except (ArithmeticError, ValueError):
+            continue
+        for lo, hi in ((t, t), (min(t, s), max(t, s))):
+            elo, ehi, err = ex.enclosed(node)(lo, hi)
+            assert elo <= v <= ehi or math.isnan(elo), \
+                (ex.to_text(node), lo, hi, v, elo, ehi)
+            assert not err < 0.0
+
+
+def _exact(e, t):
+    """e at the rational t in exact arithmetic (no functions)."""
+    if e.kind == "const":
+        return Fraction(e.value)
+    if e.kind == "var":
+        return t
+    if e.kind == "scal":
+        return Fraction(e.value) * _exact(e.args[0], t)
+    if e.kind == "rpow":
+        return _exact(e.args[0], t) ** e.value[0]
+    a, b = (_exact(x, t) for x in e.args)
+    return a + b if e.kind == "add" else a - b if e.kind == "sub" else a * b
+
+
+@pytest.mark.parametrize("text", [
+    "1000000*a + 1 - 1000000*a",
+    "(a + 4398046511104) - 4398046511104",
+    "(a - 0.1)*(a + 0.3) - a^2",
+    "(3.25 - a)^3 - 2*a^(-1)",
+    "0.1*a + 0.2*a^2 + 0.3",
+])
+def test_enclosure_error_bounds_the_rounding(text):
+    """err bounds how far the computed value strays from the exact one."""
+    e = ex.parse(text)
+    for k in range(1, 50):
+        t = k / 50.0
+        lo, hi, err = ex.enclosed(e)(t, t)
+        exact = _exact(e, Fraction(t))
+        assert Fraction(lo) <= exact <= Fraction(hi)
+        assert abs(Fraction(ex.evaluate(e, t)) - exact) <= Fraction(err)
+
+
+def test_enclosure_closure_is_built_once_per_node():
+    e = ex.parse("sqrt(1 - a) + a^2")
+    assert ex.enclosed(e) is ex.enclosed(e)
+    assert ex.enclosed(e.args[0]) is ex.enclosed(e.args[0])
