@@ -11,7 +11,7 @@ import math
 import weakref
 
 from .cutcore import expr as ex
-from .cutcore.curve import ExprFn, membership, membership_pair
+from .cutcore.curve import membership, membership_pair
 
 TOL_X = 1e-9
 TOL_SLOPE = 1e-6
@@ -242,7 +242,7 @@ def regular_intervals(fz):
     core.lo + TOL_X < x < core.hi - TOL_X, membership and its outer
     limit are both 1 and both slopes 0.  Off the core, take a left
     curve L (fz.left at x, or fz.mirror.left at -x for the right
-    branch) and an ExprFn segment of L tagged inc.  Its level range is
+    branch) and a segment of L tagged inc.  Its level range is
     cut into pieces that keep 2*TOL_X away from every junction level
     of both curves and from 0 and 1; a piece is proven when the
     enclosure of the level derivative has a lower bound d above TOL_X
@@ -295,7 +295,7 @@ def _curve_spans(curve, levels):
     out = []
     below = -math.inf  # every value the scan meets before this segment
     for s in curve.segments:
-        if s.width > 0.0 and s.mono == "inc" and isinstance(s.fn, ExprFn):
+        if s.width > 0.0 and s.mono == "inc":
             out += _segment_spans(s, levels, below)
         below = _past(below, (s.fn(s.lo), s.fn(s.hi)))
     return out

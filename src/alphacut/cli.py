@@ -83,6 +83,9 @@ def _formula(text, varname, lineno):
         if n.kind in ("const", "scal") and not math.isfinite(n.value):
             raise ParseError("line %d: constant %r is not finite"
                              % (lineno, n.value))
+        if n.kind in ("inv", "dinv"):
+            # the parser checks the bracket ends; m is walked here
+            nodes.append(n.value[0])
         nodes.extend(n.args)
     return e
 
@@ -161,13 +164,6 @@ def load_document(path, check=True):
     return fz
 
 
-def _fn_text(fn):
-    text = getattr(fn, "text", None)
-    if callable(text):
-        return text()
-    return None
-
-
 def document_text(fz):
     """Canonical cuts-form document text for a fuzzy number."""
     out = ["name: %s" % (fz.name or "unnamed")]
@@ -181,13 +177,8 @@ def document_text(fz):
             ob = "[" if prev_owned in (None, False) else "("
             owned = s.own_right or i == last
             cb = "]" if owned else ")"
-            text = _fn_text(s.fn)
-            if text is None:
-                raise StructuralError(
-                    "segment [%r, %r] of the %s curve has no closed "
-                    "form to save" % (s.lo, s.hi, label))
             out.append("%s %s%r, %r%s %s: %s"
-                       % (label, ob, s.lo, s.hi, cb, s.mono, text))
+                       % (label, ob, s.lo, s.hi, cb, s.mono, s.fn.text()))
             prev_owned = owned
     return "\n".join(out) + "\n"
 

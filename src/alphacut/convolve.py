@@ -11,8 +11,8 @@ import math
 
 from .calculus import ExtendedSlope, as_left_slope
 from .cutcore import expr as ex
-from .cutcore.curve import (CutCurve, ExprFn, FuzzyNum, Segment, fn_add,
-                            membership, membership_outer_limit, validate)
+from .cutcore.curve import (CutCurve, ExprFn, FuzzyNum, Segment, membership,
+                            membership_outer_limit, validate)
 from .errors import StructuralError
 
 TOL = 1e-9
@@ -67,7 +67,7 @@ def _merge_curves(cu, cv, rising):
         sv = _segment_at(cv, a, b)
         moving = "inc" if rising else "dec"
         mono = moving if moving in (su.mono, sv.mono) else "const"
-        segs.append(Segment(a, b, fn_add(su.fn, sv.fn), mono))
+        segs.append(Segment(a, b, ex.add(su.fn.expr, sv.fn.expr), mono))
     return CutCurve(segs)
 
 

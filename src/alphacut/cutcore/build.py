@@ -8,16 +8,17 @@ membership value is the larger of the two one-sided values, which is
 forced by cut closedness.
 
 The builder inverts each monotone piece symbolically when it matches
-an affine, quadratic or sinusoid pattern, and falls back to bisection
-otherwise.  Inverse formulas are re-anchored on the snapped level
-bounds so junction levels and abscissas agree to float dust.
+an affine, quadratic or sinusoid pattern, and falls back to an inv
+expression, solved by bisection, otherwise.  Inverse formulas are
+re-anchored on the snapped level bounds so junction levels and
+abscissas agree to float dust.
 """
 
 import math
 
 from ..errors import RepresentationError
 from . import expr as ex
-from .curve import CutCurve, ExprFn, FuzzyNum, InverseFn, Segment
+from .curve import CutCurve, ExprFn, FuzzyNum, Segment
 
 LEVEL_SNAP = 1e-9
 
@@ -276,7 +277,7 @@ def _invert(p, lo_level, hi_level, increasing):
         if decomp is not None:
             fn = _invert_trig(decomp, xa, xb, va, vb)
     if fn is None:
-        fn = InverseFn(p.expr, p.xlo, p.xhi, increasing)
+        fn = ExprFn(ex.inv(p.expr, p.xlo, p.xhi))
     return fn
 
 

@@ -2,15 +2,16 @@
 
 A fuzzy number is stored by its two cut curves: the left endpoint
 u^-(alpha) (nondecreasing) and the right endpoint u^+(alpha)
-(nonincreasing), each a list of segments covering [0,1].  Segment
-functions are symbolic where possible; numeric inverses plug in the
-same protocol.
+(nonincreasing), each a list of segments covering [0,1].  Every
+segment function is an ExprFn: a closed-form expression in the level,
+or one built on inv, the bisection inverse of a membership expression
+(expr.InverseFn, re-exported here), so every curve has a text form and
+shifts, scalings and sums stay expressions.
 """
 
-import math
-
-from ..errors import ParseError, RepresentationError, StructuralError
+from ..errors import StructuralError
 from . import expr as ex
+from .expr import InverseFn  # noqa: F401  (inv nodes solve through it)
 
 MONO_TAGS = ("inc", "dec", "const")
 
@@ -44,132 +45,6 @@ class ExprFn:
 
     def __repr__(self):
         return "ExprFn(%s)" % self.text()
-
-
-class InverseFn:
-    """Generalized inverse of a monotone membership expression.
-
-    Solves m(x) = alpha for x on [xlo, xhi] by bisection to an
-    absolute abscissa tolerance of 1e-12 (at most 200 iterations).
-    """
-
-    def __init__(self, m_expr, xlo, xhi, increasing):
-        self.m = m_expr
-        self.xlo = float(xlo)
-        self.xhi = float(xhi)
-        self.increasing = bool(increasing)
-        self._mf = ex.compiled(m_expr)
-        self._mdf = ex.compiled(ex.derivative(m_expr))
-
-    def __call__(self, alpha):
-        m = self._mf
-        lo, hi = self.xlo, self.xhi
-        flo = m(lo)
-        fhi = m(hi)
-        if self.increasing:
-            if alpha <= flo:
-                return lo
-            if alpha >= fhi:
-                return hi
-        else:
-            if alpha >= flo:
-                return lo
-            if alpha <= fhi:
-                return hi
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            v = m(mid)
-            below = v < alpha if self.increasing else v > alpha
-            if below:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-12:
-                break
-        return 0.5 * (lo + hi)
-
-    def deriv(self, alpha):
-        x = self(alpha)
-        slope = self._mdf(x)
-        if slope == 0.0:
-            return math.inf if self.increasing else -math.inf
-        return 1.0 / slope
-
-    def text(self, varname="a"):
-        return None
-
-    def __repr__(self):
-        return "InverseFn(%s on [%g, %g])" % (
-            ex.to_text(self.m, "x"), self.xlo, self.xhi)
-
-
-class ShiftedFn:
-    def __init__(self, fn, c):
-        self.fn = fn
-        self.c = float(c)
-
-    def __call__(self, alpha):
-        return self.fn(alpha) - self.c
-
-    def deriv(self, alpha):
-        return self.fn.deriv(alpha)
-
-    def text(self, varname="a"):
-        return None
-
-
-class ScaledFn:
-    def __init__(self, fn, c):
-        self.fn = fn
-        self.c = float(c)
-
-    def __call__(self, alpha):
-        return self.c * self.fn(alpha)
-
-    def deriv(self, alpha):
-        return self.c * self.fn.deriv(alpha)
-
-    def text(self, varname="a"):
-        return None
-
-
-class SumFn:
-    def __init__(self, f, g):
-        self.f = f
-        self.g = g
-
-    def __call__(self, alpha):
-        return self.f(alpha) + self.g(alpha)
-
-    def deriv(self, alpha):
-        return self.f.deriv(alpha) + self.g.deriv(alpha)
-
-    def text(self, varname="a"):
-        return None
-
-
-def fn_shift(fn, c):
-    if c == 0.0:
-        return fn
-    if isinstance(fn, ExprFn):
-        return ExprFn(ex.sub(fn.expr, ex.const(c)))
-    return ShiftedFn(fn, c)
-
-
-def fn_scale(c, fn):
-    if c == 1.0:
-        return fn
-    if isinstance(fn, ExprFn):
-        return ExprFn(ex.scal(c, fn.expr))
-    return ScaledFn(fn, c)
-
-
-def fn_add(f, g):
-    if isinstance(f, ExprFn) and isinstance(g, ExprFn):
-        return ExprFn(ex.add(f.expr, g.expr))
-    return SumFn(f, g)
 
 
 class Segment:
@@ -224,9 +99,8 @@ class Segment:
                     "segment tagged %s %s at level %r" % (self.mono, what, a))
 
     def __repr__(self):
-        t = self.fn.text()
         return "Segment[%g, %g] %s: %s" % (
-            self.lo, self.hi, self.mono, t if t else repr(self.fn))
+            self.lo, self.hi, self.mono, self.fn.text())
 
 
 class CutCurve:
@@ -331,22 +205,22 @@ class CutCurve:
 
     def shifted(self, c):
         return CutCurve([
-            Segment(s.lo, s.hi, fn_shift(s.fn, c), s.mono, s.own_right)
+            Segment(s.lo, s.hi, ex.sub(s.fn.expr, ex.const(c)), s.mono,
+                    s.own_right)
             for s in self.segments])
 
     def scaled(self, c):
         if c <= 0.0:
             raise ValueError("scaled() needs a positive factor")
         return CutCurve([
-            Segment(s.lo, s.hi, fn_scale(c, s.fn), s.mono, s.own_right)
+            Segment(s.lo, s.hi, ex.scal(c, s.fn.expr), s.mono, s.own_right)
             for s in self.segments])
 
     def negated(self):
         """The curve of -x: every value negated, inc and dec swapped."""
         flip = {"inc": "dec", "dec": "inc", "const": "const"}
         return CutCurve([
-            Segment(s.lo, s.hi, fn_scale(-1.0, s.fn), flip[s.mono],
-                    s.own_right)
+            Segment(s.lo, s.hi, ex.neg(s.fn.expr), flip[s.mono], s.own_right)
             for s in self.segments])
 
     def __repr__(self):

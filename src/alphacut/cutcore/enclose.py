@@ -29,7 +29,8 @@ def enclosed(e):
     hold: half powers clamp the base at 0, asin and acos clamp their
     argument to [-1, 1], 0 to a negative power is inf.  A NaN bound
     means nothing is proven; so does every interval where a negative
-    power meets 0, a power overflows or a trig argument passes 1e6.
+    power meets 0, a power overflows or a trig argument passes 1e6, and
+    every inv or dinv node.
     """
     fn = e._iv
     if fn is None:
@@ -168,6 +169,9 @@ def _enclose(e):
                             1 if k == "add" else -1)
     if k == "mul":
         return _enclose_mul(enclosed(e.args[0]), enclosed(e.args[1]))
+    if k in ("inv", "dinv"):
+        # a bisection inverse and its slope prove nothing
+        return lambda lo, hi: _NAN3
     f = enclosed(e.args[0])
     if k == "scal":
         return _enclose_scal(e.value, f)

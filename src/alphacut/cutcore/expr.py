@@ -2,8 +2,9 @@
 
 The grammar is deliberately small: constants, one variable, +, -,
 scalar and general products, integer and half-integer powers, sqrt,
-sin, cos, asin, acos.  It is closed under differentiation, which is
-what the slope machinery relies on.
+sin, cos, asin, acos, and inv, the numeric inverse of a monotone
+expression on a bracket, with dinv, its derivative.  It is closed under
+differentiation, which is what the slope machinery relies on.
 """
 
 import math
@@ -18,8 +19,9 @@ class Expr:
     """Immutable expression node.
 
     kind is one of: const, var, add, sub, scal, mul, rpow, sqrt, sin,
-    cos, asin, acos.  args holds child Expr nodes; value holds the
-    float payload for const/scal and the (num, den) pair for rpow.
+    cos, asin, acos, inv, dinv.  args holds child Expr nodes; value
+    holds the float payload for const/scal, the (num, den) pair for
+    rpow and the (m, xlo, xhi) triple for inv/dinv.
     """
 
     __slots__ = ("kind", "args", "value", "_fn", "_iv")
@@ -144,6 +146,28 @@ def neg(e):
     return scal(-1.0, e)
 
 
+def inv(m, xlo, xhi, e=None):
+    """The abscissa x in [xlo, xhi] where the monotone m(x) equals e.
+
+    m is an expression in its own variable, written x; e defaults to
+    the variable.  Nothing is evaluated here: the direction of m is
+    read from its values at the bracket ends on first evaluation.
+    """
+    return _inverse_node("inv", m, xlo, xhi, e)
+
+
+def _inverse_node(kind, m, xlo, xhi, e):
+    # dinv, the derivative of inv, takes the same payload
+    xlo, xhi = float(xlo), float(xhi)
+    for end in (xlo, xhi):
+        if not math.isfinite(end):
+            raise ParseError("%s bracket end %r is not finite" % (kind, end))
+    if not xlo < xhi:
+        raise ParseError("%s bracket [%r, %r] is reversed or empty"
+                         % (kind, xlo, xhi))
+    return Expr(kind, (var() if e is None else e,), (m, xlo, xhi))
+
+
 def evaluate(e, t):
     """Evaluate e at t.
 
@@ -247,7 +271,21 @@ def _compile(e):
         return _compile_rpow(compiled(e.args[0]), *e.value)
     if k in _UNARY:
         return _UNARY[k](compiled(e.args[0]))
+    if k in ("inv", "dinv"):
+        return _compile_inverse(e)
     raise ParseError("unknown expression kind %r" % (k,))
+
+
+def _compile_inverse(e):
+    m, xlo, xhi = e.value
+    mf = compiled(m)
+    inverse = InverseFn(m, xlo, xhi, mf(xlo) < mf(xhi))
+    f = compiled(e.args[0])
+    # call the instance on every evaluation, so that each solve goes
+    # through InverseFn.__call__
+    if e.kind == "inv":
+        return lambda t: inverse(f(t))
+    return lambda t: inverse.deriv(f(t))
 
 
 def _compile_rpow(f, num, den):
@@ -267,6 +305,53 @@ def _neg_power(v, p):
     if v == 0.0:
         return math.inf
     return v ** p
+
+
+class InverseFn:
+    """Generalized inverse of a monotone membership expression.
+
+    Solves m(x) = alpha for x on [xlo, xhi] by bisection to an
+    absolute abscissa tolerance of 1e-12 (at most 200 iterations).
+    This is how inv and dinv nodes evaluate.
+    """
+
+    def __init__(self, m_expr, xlo, xhi, increasing):
+        self.m = m_expr
+        self.xlo = float(xlo)
+        self.xhi = float(xhi)
+        self.increasing = bool(increasing)
+        self._mf = compiled(m_expr)
+        self._mdf = compiled(derivative(m_expr))
+
+    def __call__(self, alpha):
+        m = self._mf
+        lo, hi = self.xlo, self.xhi
+        flo = m(lo)
+        fhi = m(hi)
+        if alpha <= flo if self.increasing else alpha >= flo:
+            return lo
+        if alpha >= fhi if self.increasing else alpha <= fhi:
+            return hi
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
+            v = m(mid)
+            below = v < alpha if self.increasing else v > alpha
+            if below:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo <= 1e-12:
+                break
+        return 0.5 * (lo + hi)
+
+    def deriv(self, alpha):
+        x = self(alpha)
+        slope = self._mdf(x)
+        if slope == 0.0:
+            return math.inf if self.increasing else -math.inf
+        return 1.0 / slope
 
 
 def _is_constant(e):
@@ -311,6 +396,13 @@ def derivative(e):
     if k == "acos":
         return mul(scal(-1.0, rpow(sub(const(1.0), rpow(inner, 2)), -1, 2)),
                    di)
+    if k == "inv":
+        return mul(Expr("dinv", e.args, e.value), di)
+    if k == "dinv":
+        # (1/m'(x))' = -m''(x) * x' / m'(x)^2 = -m''(x) * dinv^3
+        at = Expr("inv", e.args, e.value)
+        ddm = substitute(derivative(derivative(e.value[0])), at)
+        return mul(scal(-1.0, mul(ddm, rpow(e, 3))), di)
     raise ParseError("unknown expression kind %r" % (k,))
 
 
@@ -356,6 +448,13 @@ def _render(e, varname):
     if k in _FUNCS:
         inner, _ = _render(e.args[0], varname)
         return "%s(%s)" % (k, inner), 3
+    if k in ("inv", "dinv"):
+        # the level argument is written only when it is not the variable
+        m, xlo, xhi = e.value
+        parts = [to_text(m, "x"), _fmt_num(xlo), _fmt_num(xhi)]
+        if e.args[0].kind != "var":
+            parts.append(to_text(e.args[0], varname))
+        return "%s(%s)" % (k, ", ".join(parts)), 3
     raise ParseError("unknown expression kind %r" % (k,))
 
 
@@ -400,7 +499,7 @@ def _tokenize(text):
         if c.isspace():
             i += 1
             continue
-        if c in "+-*/^()":
+        if c in "+-*/^(),":
             out.append(c)
             i += 1
             continue
@@ -534,9 +633,30 @@ def _parse_atom(toks, varname):
             toks.expect(")")
             return {"sqrt": sqrt, "sin": sin, "cos": cos,
                     "asin": asin, "acos": acos}[name](inner)
+        if name in ("inv", "dinv"):
+            return _parse_inverse(toks, name, varname)
         raise ParseError("unknown name %r (variable is %r)" % (
             name, varname))
     raise ParseError("unexpected token %r" % (tok,))
+
+
+def _parse_inverse(toks, kind, varname):
+    """The rest of kind(m, xlo, xhi[, level]); m is written in x."""
+    toks.expect("(")
+    m = _parse_sum(toks, "x")
+    ends = []
+    for _ in range(2):
+        toks.expect(",")
+        end = _parse_sum(toks, varname)
+        if end.kind != "const":
+            raise ParseError("%s bracket ends must be constants" % (kind,))
+        ends.append(end.value)
+    level = None
+    if toks.peek() == ",":
+        toks.take()
+        level = _parse_sum(toks, varname)
+    toks.expect(")")
+    return _inverse_node(kind, m, ends[0], ends[1], level)
 
 
 def substitute(e, replacement):
@@ -556,6 +676,8 @@ def substitute(e, replacement):
         return mul(*args)
     if e.kind == "rpow":
         return rpow(args[0], *e.value)
+    if e.kind in ("inv", "dinv"):
+        return Expr(e.kind, args, e.value)
     return {"sqrt": sqrt, "sin": sin, "cos": cos,
             "asin": asin, "acos": acos}[e.kind](args[0])
 

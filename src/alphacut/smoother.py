@@ -91,41 +91,44 @@ def _zero_below_top(curve):
     return _is_zero_slope(curve.deriv_below(1.0))
 
 
-def _requirement_levels(u, branch, points):
-    """Levels on one branch of u that force zero slope in a smoother.
+def _requirement_levels(u):
+    """Levels on each branch of u that force zero slope in a smoother.
 
-    points is classify_points(u).  Returns a dict with the base level,
-    the interior defect levels, the jump limit levels, whether the core
-    endpoint is defective, and the base strong-endpoint level when that
-    point is defective.  The right branch is read as the left branch of
-    the mirror -u.
+    Returns {"left": ..., "right": ...}, each a dict with the base
+    level, the interior defect levels, the jump limit levels, whether
+    the core endpoint is defective, and the base strong-endpoint level
+    when that point is defective.  The right branch is read as the left
+    branch of the mirror -u.
     """
-    m = u if branch == "left" else u.mirror
-    sup = m.support
-    x_core = m.core.lo
-    base = membership(m, sup.lo)
-    interior = set()
-    limits = set()
-    for pt in points:
-        if pt.branch == branch:
-            interior.add(pt.level)
-            if pt.kind == "jump":
-                limits.add(pt.outer_limit)
-    core_inside = sup.lo + TOL < x_core < sup.hi - TOL
-    core_defect = core_inside and singular_at(m, x_core) is not None
-    if core_inside:
-        lam = membership_outer_limit(m, x_core)
-        if 1.0 - lam > TOL:
-            limits.add(lam)
-    base_strong = None
-    if base < 1.0:
-        x_str = m.left.strong_value(base)
-        if sup.lo + TOL < x_str < sup.hi - TOL and \
-                singular_at(m, x_str) is not None:
-            base_strong = base
-    return {"base": base, "interior": sorted(interior),
-            "limits": sorted(limits), "core_defect": core_defect,
-            "base_strong": base_strong}
+    points = classify_points(u)
+    reqs = {}
+    for branch, m in (("left", u), ("right", u.mirror)):
+        sup = m.support
+        x_core = m.core.lo
+        base = membership(m, sup.lo)
+        interior = set()
+        limits = set()
+        for pt in points:
+            if pt.branch == branch:
+                interior.add(pt.level)
+                if pt.kind == "jump":
+                    limits.add(pt.outer_limit)
+        core_inside = sup.lo + TOL < x_core < sup.hi - TOL
+        core_defect = core_inside and singular_at(m, x_core) is not None
+        if core_inside:
+            lam = membership_outer_limit(m, x_core)
+            if 1.0 - lam > TOL:
+                limits.add(lam)
+        base_strong = None
+        if base < 1.0:
+            x_str = m.left.strong_value(base)
+            if sup.lo + TOL < x_str < sup.hi - TOL and \
+                    singular_at(m, x_str) is not None:
+                base_strong = base
+        reqs[branch] = {"base": base, "interior": sorted(interior),
+                        "limits": sorted(limits), "core_defect": core_defect,
+                        "base_strong": base_strong}
+    return reqs
 
 
 def _check_levels(w_curve, levels):
@@ -149,9 +152,8 @@ def check_smoother_conditions(u, w):
     rep.set("i", "pass" if base_ok else "fail",
             () if base_ok else (ub_l, ub_r))
 
-    points = classify_points(u)
-    req_l = _requirement_levels(u, "left", points)
-    req_r = _requirement_levels(u, "right", points)
+    reqs = _requirement_levels(u)
+    req_l, req_r = reqs["left"], reqs["right"]
 
     for key, req, wc in (("ii-1", req_l, wl), ("ii-2", req_r, wr)):
         if not req["core_defect"]:
@@ -349,9 +351,8 @@ def family(spec):
         "synthesize_smoother(u, p) instead")
 
 
-def _branch_step_levels(u, branch, points):
+def _branch_step_levels(req):
     """Knot levels for one synthesized branch: base, defects, top."""
-    req = _requirement_levels(u, branch, points)
     base = req["base"]
     inner = sorted(set(req["interior"]) | set(req["limits"]))
     levels = [base]
@@ -389,9 +390,9 @@ def _cosine_step(s0, s1, x0, dx, rising, last):
     return Segment(s0, s1, ExprFn(body), "dec")
 
 
-def _synth_branch(u, branch, p, lipschitz_cap, points):
+def _synth_branch(req, branch, p, lipschitz_cap):
     """One cut curve of the synthesized smoother, plus its halfwidth."""
-    levels = _branch_step_levels(u, branch, points)
+    levels = _branch_step_levels(req)
     base = levels[0]
     if base >= 1.0 - TOL:
         # this side of u is already crisp; pin the branch at zero
@@ -442,9 +443,9 @@ def synthesize_smoother(u, p, preserve_core=False, lipschitz_cap=None):
         left = CutCurve([Segment(0.0, 1.0, ExprFn(ex.const(-p)), "const")])
         right = CutCurve([Segment(0.0, 1.0, ExprFn(ex.const(p)), "const")])
         return FuzzyNum(left, right, name="synthesized(p=%r)" % (p,))
-    points = classify_points(u)
-    left, _ = _synth_branch(u, "left", p, lipschitz_cap, points)
-    right, _ = _synth_branch(u, "right", p, lipschitz_cap, points)
+    reqs = _requirement_levels(u)
+    left, _ = _synth_branch(reqs["left"], "left", p, lipschitz_cap)
+    right, _ = _synth_branch(reqs["right"], "right", p, lipschitz_cap)
     w = FuzzyNum(left, right, name="synthesized(p=%r)" % (p,))
     if preserve_core:
         w = core_preserving_shift(w)

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from alphacut import alpha_cut, from_membership_pieces, membership
+from alphacut import (ExprFn, alpha_cut, convolve, from_membership_pieces,
+                      membership, scale)
 from alphacut.errors import RepresentationError
 from conftest import load_fixture
 
@@ -149,6 +150,16 @@ def test_bisection_fallback_round_trip():
         x = rng.uniform(0.0, 2.0)
         want = x ** 3 if x <= 1.0 else 2.0 - x
         assert membership(fz, x) == pytest.approx(want, abs=1e-9)
+
+
+def test_bisection_segments_are_expressions():
+    """Inverses, mirrors, multiples and sums of them are all ExprFn."""
+    fz = from_membership_pieces([(0.0, 1.0, "x^3", "inc"),
+                                 (1.0, 2.0, "2 - x", "dec")])
+    assert fz.left.segments[-1].fn.expr.kind == "inv"
+    for num in (fz, fz.mirror, scale(-0.5, fz), convolve(fz, fz)):
+        for s in num.left.segments + num.right.segments:
+            assert isinstance(s.fn, ExprFn)
 
 
 def test_point_declaration_must_take_upper_value():

@@ -47,11 +47,31 @@ def test_fixture_files_are_canonical(name):
     assert raw == document_text(load_document(path))
 
 
-@pytest.mark.parametrize("name", FIXTURE_NAMES)
+# membership pieces with no closed-form inverse: the cut curves are inv
+# expressions, solved by bisection
+CUBIC_DOC = ("name: cubic\nrepresentation: membership\n"
+             "piece [-1, 0] inc: (x + 1)^3\npiece (0, 1] dec: 1 - x^3\n")
+
+CUBIC_NAMES = ["cubic", "cubic+triangle", "cubic*2.0", "cubic*-0.5"]
+
+
+def round_trip_number(name, tmp_path):
+    """A fixture, or the x^3 number, its sum with triangle or a multiple."""
+    if name in FIXTURE_NAMES:
+        return load_fixture(name)
+    u = load_document(write_doc(tmp_path, CUBIC_DOC, "cubic.fz"))
+    if name == "cubic+triangle":
+        return convolve(u, load_fixture("triangle"))
+    if "*" in name:
+        return scale(float(name.split("*")[1]), u)
+    return u
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES + CUBIC_NAMES)
 def test_save_load_round_trip_is_exact(name, tmp_path):
-    """Save then reload reproduces bytes and segment values bitwise."""
-    fz = load_fixture(name)
-    path = os.path.join(str(tmp_path), name + ".fz")
+    """Save then reload reproduces bytes, segment values and cuts bitwise."""
+    fz = round_trip_number(name, tmp_path)
+    path = os.path.join(str(tmp_path), "saved.fz")
     save_document(fz, path)
     with open(path) as fh:
         text1 = fh.read()
@@ -65,6 +85,10 @@ def test_save_load_round_trip_is_exact(name, tmp_path):
             for k in range(11):
                 t = sa.lo + (sa.hi - sa.lo) * k / 10
                 assert sa.fn(t) == sb.fn(t)
+    for k in range(101):
+        a = k / 100
+        assert [v.hex() for v in alpha_cut(back, a)] == \
+            [v.hex() for v in alpha_cut(fz, a)]
     assert not [p for p in os.listdir(str(tmp_path)) if p.endswith(".tmp")]
 
 
@@ -143,6 +167,28 @@ def test_infinite_constant_exits_2_via_cli(tmp_path, capsys):
     code, out, err = run(["validate", path], capsys)
     assert code == 2
     assert err.startswith("alphacut: parse: line 3:")
+
+
+@pytest.mark.parametrize("formula,code,fragment", [
+    ("inv(1e999*x, 0, 1) - 1", 2, "line 3: constant inf is not finite"),
+    ("inv(x, 0, 1e999) - 1", 2, "line 3: inv bracket end inf is not finite"),
+    ("inv(x, 1, 0) - 1", 2, "line 3: inv bracket [1.0, 0.0] is reversed"),
+    ("inv(x, 0, 0) - 1", 2, "line 3: inv bracket [0.0, 0.0] is reversed"),
+    ("inv(x, a, 1) - 1", 2, "line 3: inv bracket ends must be constants"),
+    # x^2 falls then rises on [-1, 2]: the solve sticks at x = -1, where
+    # the level slope 1/m'(-1) is negative on a row tagged inc
+    ("inv(x^2, -1, 2)", 1, "segment tagged inc decreases"),
+], ids=["infinite-in-m", "infinite-end", "reversed", "empty",
+        "variable-end", "not-monotone"])
+def test_inv_rows_reject_outside_input(formula, code, fragment, tmp_path,
+                                       capsys):
+    path = write_doc(tmp_path, (
+        "name: t\nrepresentation: cuts\n"
+        "left [0, 1] inc: %s\nright [0, 1] dec: 3 - a\n" % formula))
+    got, out, err = run(["validate", path], capsys)
+    assert got == code
+    assert fragment in err
+    assert "Traceback" not in err
 
 
 def test_parse_error_duplicate_header(tmp_path):
@@ -361,6 +407,25 @@ def test_scale_writes_loadable_document(tmp_path, capsys):
     assert os.path.basename(path) == "scale_2.0_triangle.fz"
     got = load_document(path)
     ref = scale(2.0, load_fixture("triangle"))
+    for a in LEVELS:
+        assert alpha_cut(got, a) == alpha_cut(ref, a)
+
+
+@pytest.mark.parametrize("argv", [["convolve", "{doc}", "{triangle}"],
+                                  ["scale", "{doc}", "2.0"]],
+                         ids=["convolve", "scale"])
+def test_bisection_numbers_save_after_convolve_and_scale(argv, tmp_path,
+                                                         capsys):
+    """A membership document with x^3 pieces gives saveable results."""
+    doc = write_doc(tmp_path, CUBIC_DOC, "cubic.fz")
+    argv = [a.format(doc=doc, triangle=fixture_path("triangle"))
+            for a in argv]
+    code, out, err = run(argv + ["--out", str(tmp_path)], capsys)
+    assert (code, err) == (0, "")
+    got = load_document(out.strip())
+    u = load_document(doc)
+    ref = (convolve(u, load_fixture("triangle")) if argv[0] == "convolve"
+           else scale(2.0, u))
     for a in LEVELS:
         assert alpha_cut(got, a) == alpha_cut(ref, a)
 

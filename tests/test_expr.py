@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 
 from alphacut.cutcore import expr as ex
+from alphacut.cutcore.curve import ExprFn, InverseFn
 from alphacut.errors import ParseError
 
 from oracles import richardson_one_sided
@@ -24,6 +25,9 @@ GRAMMAR_SAMPLES = [
     "2*a - 1",
     "a^3",
     "(1 - a)^3*0.25",
+    "inv(x^3, 0, 1)",
+    "2*inv(1 - x^3, -1, 1.5) + a",
+    "dinv(x^3 + x, 0, 1)",
 ]
 
 
@@ -161,6 +165,49 @@ def test_substitute():
         t = k / 10.0
         assert composed is not None
         assert ex.evaluate(composed, t) == 1.0 - (2.0 * t) ** 2
+
+
+@pytest.mark.parametrize("m,increasing", [("x^3", True), ("1 - x^3", False)])
+def test_inv_is_the_inverse_fn_it_names(m, increasing):
+    """inv and its derivative are InverseFn's value and slope, bitwise."""
+    e = ex.parse("inv(%s, 0, 1)" % m)
+    ref = ex.InverseFn(ex.parse(m, "x"), 0.0, 1.0, increasing)
+    d = ex.derivative(e)
+    assert d.kind == "dinv"
+    for k in range(101):
+        t = k / 100
+        assert ex.evaluate(e, t).hex() == ref(t).hex()
+        assert ex.evaluate(d, t).hex() == ref.deriv(t).hex()
+    # m'(0) = 0: an infinite level slope, signed by the direction
+    at_zero = 0.0 if increasing else 1.0
+    assert ex.evaluate(d, at_zero) == (math.inf if increasing else -math.inf)
+
+
+def test_every_solve_goes_through_inverse_fn_call(monkeypatch):
+    """A wrapper put on InverseFn.__call__ after compiling sees each solve."""
+    fn = ExprFn(ex.parse("inv(x^3, 0, 1)"))
+    fn.deriv(0.5)
+    seen = []
+    real = InverseFn.__call__
+
+    def counted(self, alpha):
+        seen.append(alpha)
+        return real(self, alpha)
+    monkeypatch.setattr(InverseFn, "__call__", counted)
+    fn(0.25)
+    fn.deriv(0.5)
+    assert seen == [0.25, 0.5]
+
+
+def test_inv_substitutes_and_proves_nothing():
+    e = ex.parse("inv(x^3, 0, 1)")
+    composed = ex.substitute(e, ex.parse("a^2"))
+    assert ex.to_text(composed) == "inv(x^3, 0, 1, a^2)"
+    assert ex.parse(ex.to_text(composed)) == composed
+    assert ex.evaluate(composed, 0.5) == ex.evaluate(e, 0.25)
+    for node in (e, composed, ex.derivative(e), ex.parse("2*inv(x, 0, 1)")):
+        lo, hi, _ = ex.enclosed(node)(0.25, 0.5)
+        assert lo != lo and hi != hi
 
 
 def test_poly_coeffs_affine():
