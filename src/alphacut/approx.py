@@ -14,10 +14,9 @@ from .calculus import (candidate_points, class_membership,
                        sup_metric)
 from .convolve import convolve, scale
 from .cutcore.curve import membership
+from .cutcore.tolerance import TOL
 from .errors import SmootherConditionError
 from .smoother import check_smoother_conditions
-
-TOL = 1e-9
 
 
 class DifferentiabilityReport:

@@ -12,9 +12,8 @@ import weakref
 
 from .cutcore import expr as ex
 from .cutcore.curve import membership, membership_pair
+from .cutcore.tolerance import TOL, TOL_SLOPE
 
-TOL_X = 1e-9
-TOL_SLOPE = 1e-6
 FD_LADDER = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
 # halvings of a segment's level range while proving it regular
 PROOF_DEPTH = 8
@@ -106,7 +105,7 @@ def as_left_slope(level_deriv):
 
 def _check_in_support(fz, x):
     sup = fz.support
-    if x < sup.lo - TOL_X or x > sup.hi + TOL_X:
+    if x < sup.lo - TOL or x > sup.hi + TOL:
         raise ValueError("x=%r outside the support [%r, %r]"
                          % (x, sup.lo, sup.hi))
 
@@ -119,7 +118,7 @@ def _snap_level(rho, *curves):
     that junction or the one-sided level derivatives read the wrong
     segment.
     """
-    best, err = rho, TOL_X
+    best, err = rho, TOL
     if abs(rho - 1.0) <= err:
         best, err = 1.0, abs(rho - 1.0)
     for curve in curves:
@@ -133,14 +132,14 @@ def _snap_level(rho, *curves):
 def _left_slope_at(fz, x, rho):
     """Membership slope at x from the left."""
     core = fz.core
-    if x > core.lo + TOL_X:
-        if x <= core.hi + TOL_X:
+    if x > core.lo + TOL:
+        if x <= core.hi + TOL:
             return 0.0
         # right branch: nonzero only where x is the inner cut image
         if rho >= 1.0:
             return 0.0
         inner = fz.right.right_limit(rho)
-        if abs(x - inner) <= TOL_X:
+        if abs(x - inner) <= TOL:
             # the right curve read as the mirror's left curve; 0.0 - v
             # keeps a zero slope +0.0
             return 0.0 - as_left_slope(-fz.right.deriv_above(rho))
@@ -149,7 +148,7 @@ def _left_slope_at(fz, x, rho):
     if rho == 0.0:
         return 0.0
     outer = fz.left.value(rho)
-    if abs(x - outer) <= TOL_X:
+    if abs(x - outer) <= TOL:
         return as_left_slope(fz.left.deriv_below(rho))
     return 0.0
 
@@ -207,7 +206,7 @@ def candidate_points(fz):
     xs.sort()
     out = []
     for x in xs:
-        if not out or x - out[-1] > TOL_X:
+        if not out or x - out[-1] > TOL:
             out.append(x)
     return out
 
@@ -219,13 +218,13 @@ def singular_at(fz, x):
     ls = _left_slope_at(fz, x, rho)
     rs = _right_slope_at(fz, x, rho)
     lam = _snap_level(outer, fz.left, fz.right)
-    jump = rho - lam > TOL_X
+    jump = rho - lam > TOL
     kink = (math.isinf(ls) or math.isinf(rs)
             or abs(ls - rs) > TOL_SLOPE)
     if not (jump or kink):
         return None
     core = fz.core
-    if abs(x - core.lo) <= TOL_X or abs(x - core.hi) <= TOL_X:
+    if abs(x - core.lo) <= TOL or abs(x - core.hi) <= TOL:
         branch = "core-endpoint"
     elif x < core.lo:
         branch = "left"
@@ -239,17 +238,17 @@ def regular_intervals(fz):
     """Sorted disjoint open intervals of x where singular_at(fz, x) is None.
 
     Each interval is proven, not sampled.  On the core's inside,
-    core.lo + TOL_X < x < core.hi - TOL_X, membership and its outer
+    core.lo + TOL < x < core.hi - TOL, membership and its outer
     limit are both 1 and both slopes 0.  Off the core, take a left
     curve L (fz.left at x, or fz.mirror.left at -x for the right
     branch) and a segment of L tagged inc.  Its level range is
-    cut into pieces that keep 2*TOL_X away from every junction level
+    cut into pieces that keep 2*TOL away from every junction level
     of both curves and from 0 and 1; a piece is proven when the
-    enclosure of the level derivative has a lower bound d above TOL_X
-    and with d*TOL_X above four times the bound on the segment
+    enclosure of the level derivative has a lower bound d above TOL
+    and with d*TOL above four times the bound on the segment
     function's rounding error.  An x is covered by a piece when it lies
     above every value of the earlier segments and outside the value
-    enclosures of the rest of its own segment, and x < core.lo - TOL_X
+    enclosures of the rest of its own segment, and x < core.lo - TOL
     (on the mirror).  Then singular_at finds nothing at x:
 
     - The membership scan passes every earlier segment and bisects
@@ -258,16 +257,16 @@ def regular_intervals(fz):
       function at or below x on one and at or above x on the other, so
       both sit in one part of the segment whose enclosure holds x: the
       piece.  Nothing is snapped there, since _snap_level moves levels
-      by at most TOL_X.
+      by at most TOL.
     - The level rho lies inside one segment of both curves, so the left
       slope reads fn.deriv(rho) through the left curve and the right
       slope reads it through the negated curve; negation is exact, so
       the two slopes are the same float, and the derivative floor makes
       it finite.
     - The strict and non-strict scans part only where the computed
-      function equals x.  Were their levels more than TOL_X apart, the
-      computed function would fall by a level step of TOL_X on which
-      the exact one rises by at least d*TOL_X, more than twice the
+      function equals x.  Were their levels more than TOL apart, the
+      computed function would fall by a level step of TOL on which
+      the exact one rises by at least d*TOL, more than twice the
       rounding bound allows.  So there is no jump.
     """
     levels = {0.0, 1.0}
@@ -275,10 +274,10 @@ def regular_intervals(fz):
         levels.update(s.hi for s in curve.segments[:-1])
     levels = sorted(levels)
     core = fz.core
-    spans = [(core.lo + TOL_X, core.hi - TOL_X)]
-    edge = core.lo - TOL_X
+    spans = [(core.lo + TOL, core.hi - TOL)]
+    edge = core.lo - TOL
     spans += [(lo, min(hi, edge)) for lo, hi in _curve_spans(fz.left, levels)]
-    edge = fz.mirror.core.lo - TOL_X
+    edge = fz.mirror.core.lo - TOL
     spans += [(-min(hi, edge), -lo)
               for lo, hi in _curve_spans(fz.mirror.left, levels)]
     merged = []
@@ -312,7 +311,7 @@ def _segment_spans(s, levels, below):
     """_curve_spans for one segment, given the values below it."""
     f = ex.enclosed(s.fn.expr)
     df = ex.enclosed(ex.derivative(s.fn.expr))
-    margin = 2.0 * TOL_X
+    margin = 2.0 * TOL
     parts = []  # (value lo, value hi, derivative floor or None, error)
     cur = s.lo
     for j in levels:
@@ -367,8 +366,8 @@ def _prove(f, df, lo, hi, depth, parts):
 
 def _proven(d, err):
     """A derivative floor d that keeps slopes finite and, against the
-    rounding bound err, keeps the two scans within TOL_X."""
-    return d > TOL_X and d * TOL_X > 4.0 * err
+    rounding bound err, keeps the two scans within TOL."""
+    return d > TOL and d * TOL > 4.0 * err
 
 
 # the singular points of each number, found once: left and right are
@@ -383,7 +382,7 @@ def classify_points(fz):
         sup = fz.support
         pts = []
         for x in candidate_points(fz):
-            if x - sup.lo <= TOL_X or sup.hi - x <= TOL_X:
+            if x - sup.lo <= TOL or sup.hi - x <= TOL:
                 continue
             p = singular_at(fz, x)
             if p is not None:
@@ -401,7 +400,7 @@ def _base_run_end(curve):
     i = 0
     while i < len(segs) and (segs[i].width == 0.0 or
                              segs[i].mono == "const") \
-            and abs(segs[i].fn(segs[i].lo) - base_x) <= TOL_X:
+            and abs(segs[i].fn(segs[i].lo) - base_x) <= TOL:
         i += 1
     return i
 
@@ -417,7 +416,7 @@ def _strictly_monotone_above_base(curve):
 def _has_cut_jump(curve):
     """Any level where the cut endpoint differs from its right limit."""
     for b in curve.breakpoints():
-        if abs(curve.right_limit(b) - curve.value(b)) > TOL_X:
+        if abs(curve.right_limit(b) - curve.value(b)) > TOL:
             return True
     return False
 

@@ -32,6 +32,7 @@ from .convolve import convolve as _convolve, scale as _scale
 from .cutcore import build, expr as ex
 from .cutcore.curve import (CutCurve, ExprFn, FuzzyNum, Segment,
                             membership, sample, validate)
+from .cutcore.tolerance import LEVEL_TOL
 from .errors import (AlphacutError, ParseError, RepresentationError,
                      SmootherConditionError, StructuralError)
 
@@ -498,7 +499,7 @@ def build_parser():
 
     p = sub.add_parser("validate", help="check representation conditions")
     p.add_argument("file")
-    p.add_argument("--tol", type=_finite, default=1e-12)
+    p.add_argument("--tol", type=_finite, default=LEVEL_TOL)
     p.set_defaults(fn=_cmd_validate)
 
     p = sub.add_parser("cut", help="cut interval at a level")

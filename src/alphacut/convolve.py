@@ -13,9 +13,8 @@ from .calculus import ExtendedSlope, as_left_slope
 from .cutcore import expr as ex
 from .cutcore.curve import (CutCurve, ExprFn, FuzzyNum, Segment, membership,
                             membership_outer_limit, validate)
+from .cutcore.tolerance import TOL
 from .errors import StructuralError
-
-TOL = 1e-9
 
 
 class EndpointSpec:

@@ -19,8 +19,7 @@ import math
 from ..errors import RepresentationError
 from . import expr as ex
 from .curve import CutCurve, ExprFn, FuzzyNum, Segment
-
-LEVEL_SNAP = 1e-9
+from .tolerance import TOL, TURN_SLACK
 
 
 class _Piece:
@@ -35,9 +34,9 @@ class _Piece:
 
 
 def _snap_unit(v, where):
-    if abs(v) <= LEVEL_SNAP:
+    if abs(v) <= TOL:
         return 0.0
-    if abs(v - 1.0) <= LEVEL_SNAP:
+    if abs(v - 1.0) <= TOL:
         return 1.0
     if v < 0.0 or v > 1.0:
         raise RepresentationError(
@@ -79,7 +78,7 @@ def _normalize(pieces):
     for p in ps:
         if p.is_point or p.mono != "const":
             continue
-        if abs(p.vlo - p.vhi) > LEVEL_SNAP:
+        if abs(p.vlo - p.vhi) > TOL:
             raise RepresentationError("%r is tagged const but varies" % (p,))
         p.vhi = p.vlo
     for p in ps:
@@ -160,7 +159,7 @@ def _invert_quadratic(coeffs, xa, xb, va, vb):
     # vertex at the minimum level, c2 < 0 at the maximum
     near, far = (va, vb) if c2 > 0.0 else (vb, va)
     x_far = xa if far == va else xb
-    if abs(k - near) <= LEVEL_SNAP:
+    if abs(k - near) <= TOL:
         k = near
     denom = far - k
     if denom == 0.0 or (denom > 0.0) != (c2 > 0.0):
@@ -213,24 +212,24 @@ def _invert_trig(decomp, xa, xb, va, vb):
     tlo, thi = min(tha, thb), max(tha, thb)
     half = 0.5 * math.pi
     if trig == "cos":
-        k0 = math.floor(tlo / math.pi + 1e-9)
+        k0 = math.floor(tlo / math.pi + TURN_SLACK)
         fits = [k for k in (k0, k0 + 1)
-                if k * math.pi - 1e-9 <= tlo and
-                thi <= (k + 1) * math.pi + 1e-9]
+                if k * math.pi - TURN_SLACK <= tlo and
+                thi <= (k + 1) * math.pi + TURN_SLACK]
     else:
-        k0 = math.floor(tlo / math.pi + 0.5 + 1e-9)
+        k0 = math.floor(tlo / math.pi + 0.5 + TURN_SLACK)
         fits = [k for k in (k0, k0 + 1)
-                if k * math.pi - half - 1e-9 <= tlo and
-                thi <= k * math.pi + half + 1e-9]
+                if k * math.pi - half - TURN_SLACK <= tlo and
+                thi <= k * math.pi + half + TURN_SLACK]
     if not fits:
         return None
     k = fits[0]
 
     def zval(level):
         z = (level - shift) / amp
-        if abs(z - 1.0) <= LEVEL_SNAP:
+        if abs(z - 1.0) <= TOL:
             return 1.0
-        if abs(z + 1.0) <= LEVEL_SNAP:
+        if abs(z + 1.0) <= TOL:
             return -1.0
         if abs(z) > 1.0:
             return None
@@ -302,17 +301,17 @@ def _branch_segments(pieces, core_x, rising_left):
     for p in walk:
         side = "left of" if rising_left else "right of"
         if p.is_point:
-            if p.vlo > cur + LEVEL_SNAP:
+            if p.vlo > cur + TOL:
                 segs.append(Segment(cur, p.vlo, _const_fn(p.xlo), "const"))
                 cur = p.vlo
-            elif p.vlo < cur - LEVEL_SNAP:
+            elif p.vlo < cur - TOL:
                 raise RepresentationError(
                     "membership must be nondecreasing %s the core, but "
                     "the point value at x=%r drops" % (side, p.xlo))
             point_decl = (p.xlo, p.vlo)
             continue
         if p.mono == "const":
-            if abs(p.vlo - cur) > LEVEL_SNAP:
+            if abs(p.vlo - cur) > TOL:
                 raise RepresentationError(
                     "plateau at level %r does not meet the branch at "
                     "level %r" % (p.vlo, cur))
@@ -320,16 +319,16 @@ def _branch_segments(pieces, core_x, rising_left):
             continue
         va, vb = (p.vlo, p.vhi) if rising_left else (p.vhi, p.vlo)
         jump_x = p.xlo if rising_left else p.xhi
-        if va > cur + LEVEL_SNAP:
+        if va > cur + TOL:
             if point_decl and point_decl[0] == jump_x \
-                    and point_decl[1] < va - LEVEL_SNAP:
+                    and point_decl[1] < va - TOL:
                 raise RepresentationError(
                     "membership at x=%r is declared %r but the jump "
                     "there attains %r; cut closedness needs the upper "
                     "value" % (jump_x, point_decl[1], va))
             segs.append(Segment(cur, va, _const_fn(jump_x), "const"))
             cur = va
-        elif va < cur - LEVEL_SNAP:
+        elif va < cur - TOL:
             raise RepresentationError(
                 "membership must be nondecreasing %s the core (drops "
                 "to %r at x=%r against level %r)" % (side, va, jump_x, cur))

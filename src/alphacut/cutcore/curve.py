@@ -12,13 +12,9 @@ shifts, scalings and sums stay expressions.
 from ..errors import StructuralError
 from . import expr as ex
 from .expr import InverseFn  # noqa: F401  (inv nodes solve through it)
+from .tolerance import BISECT_STEPS, LEVEL_TOL
 
 MONO_TAGS = ("inc", "dec", "const")
-
-LEVEL_TOL = 1e-12
-
-# halvings allowed per membership bisection
-BISECT_STEPS = 200
 
 
 class ExprFn:

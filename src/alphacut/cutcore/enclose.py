@@ -10,6 +10,7 @@ Introduction to Interval Analysis, SIAM 2009, ch. 5).
 import math
 
 from ..errors import ParseError
+from .tolerance import TURN_SLACK
 
 _NAN3 = (math.nan, math.nan, math.inf)
 # one ulp at 1: twice the rounding of one operation, so the error bounds
@@ -132,8 +133,8 @@ def _enclose_trig(f, fn, peak):
 
 def _may_hold(a0, a1, c):
     """True when c + k*tau may lie in [a0, a1] for some integer k."""
-    return (math.floor((a1 - c) / _TAU + 1e-9)
-            >= math.ceil((a0 - c) / _TAU - 1e-9))
+    return (math.floor((a1 - c) / _TAU + TURN_SLACK)
+            >= math.ceil((a0 - c) / _TAU - TURN_SLACK))
 
 
 def _enclose_arc(f, fn, increasing):

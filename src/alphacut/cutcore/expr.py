@@ -11,6 +11,7 @@ import math
 
 from ..errors import ParseError
 from .enclose import enclosed  # noqa: F401  (part of this module's API)
+from .tolerance import BISECT_STEPS
 
 _FUNCS = ("sqrt", "sin", "cos", "asin", "acos")
 
@@ -311,7 +312,7 @@ class InverseFn:
     """Generalized inverse of a monotone membership expression.
 
     Solves m(x) = alpha for x on [xlo, xhi] by bisection to an
-    absolute abscissa tolerance of 1e-12 (at most 200 iterations).
+    absolute abscissa tolerance of 1e-12 (at most BISECT_STEPS halvings).
     This is how inv and dinv nodes evaluate.
     """
 
@@ -332,7 +333,7 @@ class InverseFn:
             return lo
         if alpha >= fhi if self.increasing else alpha <= fhi:
             return hi
-        for _ in range(200):
+        for _ in range(BISECT_STEPS):
             mid = 0.5 * (lo + hi)
             if mid == lo or mid == hi:
                 break

@@ -15,9 +15,8 @@ from .cutcore import expr as ex
 from .cutcore.build import from_membership_pieces, unit_affine
 from .cutcore.curve import (CutCurve, ExprFn, FuzzyNum, Segment, membership,
                             membership_outer_limit)
+from .cutcore.tolerance import TOL
 from .errors import SmootherConditionError
-
-TOL = 1e-9
 
 CONDITION_KEYS = ("i", "ii-1", "ii-2", "iii-1", "iii-2",
                   "iv-1", "iv-2", "v-1", "v-2")

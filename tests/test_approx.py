@@ -148,7 +148,7 @@ def test_proven_intervals_of_steps_are_regular_to_their_ends(name):
 
 def test_rounding_error_keeps_a_float_staircase_unproven():
     """(a + 2^42) - 2^42 moves in steps of 2^-10: a slope of 1 on paper,
-    flat runs in floats.  Its rounding bound dwarfs TOL_X times the
+    flat runs in floats.  Its rounding bound dwarfs TOL times the
     slope, so the jumps a probe finds at the steps' values stay found."""
     u = FuzzyNum(CutCurve([Segment(0.0, 1.0, "(a + 4398046511104) - "
                                    "4398046511104 - 1", "inc")]),
