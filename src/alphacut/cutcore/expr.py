@@ -408,8 +408,11 @@ def derivative(e):
 
 
 def _fmt_num(v):
-    if v == int(v) and abs(v) < 1e16:
+    if abs(v) < 1e16 and v == int(v):
         return repr(int(v))
+    if math.isinf(v):
+        # parse reads 1e999 back as inf, and could not read "inf"
+        return "-1e999" if v < 0 else "1e999"
     return repr(v)
 
 

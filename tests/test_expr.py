@@ -127,6 +127,16 @@ def test_constant_powers_fold_as_evaluated(text, value):
     assert e.value == value
 
 
+@pytest.mark.parametrize("text", ["a + 1e999", "a + 0^(-1)", "a - 1e999",
+                                  "-1e999*a", "inv(x, 0, 1) + 1e999"])
+def test_infinite_constants_print_and_read_back(text):
+    """0^(-1) folds to inf on purpose, so a tree may hold an infinite
+    constant; its text reads back as the same tree."""
+    e = ex.parse(text)
+    assert repr(e) == "Expr(%s)" % ex.to_text(e)
+    assert ex.parse(ex.to_text(e)) == e
+
+
 @pytest.mark.parametrize("text", ["sqrt(0)", "sqrt(0 - 1)",
                                   "sqrt(2)*sqrt(0)", "sqrt(0)^3 + 1"])
 def test_derivative_of_constant_subterm_is_zero(text):
