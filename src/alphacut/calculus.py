@@ -357,7 +357,9 @@ def _prove(f, df, lo, hi, depth, parts):
     mid = 0.5 * (lo + hi)
     if _proven(d, err):
         parts.append((v0, v1, d, err))
-    elif depth and lo < mid < hi:
+    elif depth and lo < mid < hi and v0 == v0:
+        # a NaN value bound (an inv node) stays NaN on every half; a
+        # NaN derivative bound alone (acos at +-1) may not
         _prove(f, df, lo, mid, depth - 1, parts)
         _prove(f, df, mid, hi, depth - 1, parts)
     else:

@@ -9,7 +9,8 @@ from alphacut import (CutCurve, FuzzyNum, Segment, SmootherConditionError,
                       SmootherFamilySpec, alpha_cut, approx, approximate,
                       calculus, class_membership, convolve,
                       core_preserving_shift, crisp_point, default_schedule,
-                      family, left_deriv, lipschitz_estimate,
+                      family, from_membership_pieces, left_deriv,
+                      lipschitz_estimate,
                       preservation_report, right_deriv, scale,
                       synthesize_smoother, verify_smoothness)
 from conftest import FIXTURE_NAMES, fuzzy_numbers, fuzzy_pairs, load_fixture
@@ -144,6 +145,21 @@ def test_proven_intervals_of_steps_are_regular_to_their_ends(name):
     for fz in (u, w, convolve(u, scale(1.0 / 7.0, w))):
         for x in _edges(fz):
             assert calculus.singular_at(fz, x) is None, x
+
+
+def test_inv_segments_are_left_to_the_probes_without_halving(monkeypatch):
+    """An inv node's value encloses to NaN on every part, so halving
+    its segment cannot prove any of it: each piece is tried once."""
+    u = from_membership_pieces([(-1.0, 0.0, "(x + 1)^3", "inc"),
+                                (0.0, 1.0, "1 - x^3", "dec")])
+    calls = []
+    prove = calculus._prove
+    monkeypatch.setattr(calculus, "_prove",
+                        lambda *args: calls.append(args) or prove(*args))
+    for fz in (u, convolve(u, load_fixture("triangle"))):
+        del calls[:]
+        assert calculus.regular_intervals(fz) == []
+        assert len(calls) == 2  # one inc segment on each left curve
 
 
 def test_rounding_error_keeps_a_float_staircase_unproven():
