@@ -11,7 +11,7 @@ import math
 
 from .calculus import ExtendedSlope, as_left_slope
 from .cutcore import expr as ex
-from .cutcore.curve import (CutCurve, ExprFn, FuzzyNum, Segment, membership,
+from .cutcore.curve import (CutCurve, FuzzyNum, Segment, membership,
                             membership_outer_limit, validate)
 from .cutcore.tolerance import TOL
 from .errors import StructuralError
@@ -40,9 +40,8 @@ class EndpointSpec:
 def crisp_point(x):
     """The crisp fuzzy number sitting at a single abscissa."""
     x = float(x)
-    left = CutCurve([Segment(0.0, 1.0, ExprFn(ex.const(x)), "const")])
-    right = CutCurve([Segment(0.0, 1.0, ExprFn(ex.const(x)), "const")])
-    return FuzzyNum(left, right, name="point(%r)" % (x,))
+    curve = CutCurve([Segment(0.0, 1.0, ex.const(x), "const")])
+    return FuzzyNum(curve, curve, name="point(%r)" % (x,))
 
 
 def _segment_at(curve, a, b):
@@ -54,7 +53,8 @@ def _segment_at(curve, a, b):
     raise StructuralError("no segment covers (%r, %r)" % (a, b))
 
 
-def _merge_curves(cu, cv, rising):
+def _merge_curves(cu, cv):
+    """Levelwise sum of two cut curves, tagged as a moving summand is."""
     knots = sorted({0.0, 1.0}
                    | {s.lo for s in cu.segments} | {s.hi for s in cu.segments}
                    | {s.lo for s in cv.segments} | {s.hi for s in cv.segments})
@@ -64,16 +64,15 @@ def _merge_curves(cu, cv, rising):
             continue
         su = _segment_at(cu, a, b)
         sv = _segment_at(cv, a, b)
-        moving = "inc" if rising else "dec"
-        mono = moving if moving in (su.mono, sv.mono) else "const"
+        mono = sv.mono if su.mono == "const" else su.mono
         segs.append(Segment(a, b, ex.add(su.fn.expr, sv.fn.expr), mono))
     return CutCurve(segs)
 
 
 def convolve(u, v):
     """Sup-min convolution by exact levelwise cut addition."""
-    left = _merge_curves(u.left, v.left, True)
-    right = _merge_curves(u.right, v.right, False)
+    left = _merge_curves(u.left, v.left)
+    right = _merge_curves(u.right, v.right)
     out = FuzzyNum(left, right)
     rep = validate(out)
     if not rep.ok:

@@ -12,6 +12,10 @@ an affine, quadratic or sinusoid pattern, and falls back to an inv
 expression, solved by bisection, otherwise.  Inverse formulas are
 re-anchored on the snapped level bounds so junction levels and
 abscissas agree to float dust.
+
+Both branches go through one walk from the support end inwards.  The
+right branch is not built as the negated left branch of -u, whose inv
+segments would save as (-1)*inv(...).
 """
 
 import math
@@ -257,13 +261,8 @@ def _invert_trig(decomp, xa, xb, va, vb):
     return ExprFn(ex.scal(1.0 / omega, ex.sub(theta, ex.const(cc))))
 
 
-def _invert(p, lo_level, hi_level, increasing):
-    """Level -> abscissa function for p on [lo_level, hi_level]."""
-    if increasing:
-        xa, xb = p.xlo, p.xhi
-    else:
-        xa, xb = p.xhi, p.xlo
-    va, vb = lo_level, hi_level
+def _invert(p, xa, xb, va, vb):
+    """Level -> abscissa function for p, from (va, xa) to (vb, xb)."""
     fn = None
     coeffs = ex.poly_coeffs(p.expr)
     if coeffs is not None:
@@ -280,62 +279,60 @@ def _invert(p, lo_level, hi_level, increasing):
     return fn
 
 
-def _branch_segments(pieces, core_x, rising_left):
+def _branch_segments(pieces, core_x, rising):
     """Cut-curve segments for one branch.
 
-    rising_left walks left-branch pieces in x order; the right branch
-    walks its pieces from the support end backwards.  Levels ascend
-    either way.
+    The left branch (rising) walks its pieces in x order, the right
+    branch from the support end backwards.  Either way each piece is
+    read once as (outer x, inner x, outer level, inner level), the
+    inner end facing the core, so levels ascend along the walk.
     """
     if not pieces:
         return [Segment(0.0, 1.0, _const_fn(core_x), "const")]
-    walk = pieces if rising_left else list(reversed(pieces))
-    tag = "inc" if rising_left else "dec"
-    first = walk[0]
-    outer_x = first.xlo if rising_left else first.xhi
-    cur = first.vlo if rising_left else first.vhi
+    if rising:
+        walk = [(p, p.xlo, p.xhi, p.vlo, p.vhi) for p in pieces]
+        tag, side = "inc", "left of"
+    else:
+        walk = [(p, p.xhi, p.xlo, p.vhi, p.vlo) for p in reversed(pieces)]
+        tag, side = "dec", "right of"
+    _, outer_x, _, cur, _ = walk[0]
     segs = []
     if cur > 0.0:
         segs.append(Segment(0.0, cur, _const_fn(outer_x), "const"))
     point_decl = None
-    for p in walk:
-        side = "left of" if rising_left else "right of"
+    for p, xa, xb, va, vb in walk:
         if p.is_point:
-            if p.vlo > cur + TOL:
-                segs.append(Segment(cur, p.vlo, _const_fn(p.xlo), "const"))
-                cur = p.vlo
-            elif p.vlo < cur - TOL:
+            if va > cur + TOL:
+                segs.append(Segment(cur, va, _const_fn(xa), "const"))
+                cur = va
+            elif va < cur - TOL:
                 raise RepresentationError(
                     "membership must be nondecreasing %s the core, but "
-                    "the point value at x=%r drops" % (side, p.xlo))
-            point_decl = (p.xlo, p.vlo)
+                    "the point value at x=%r drops" % (side, xa))
+            point_decl = (xa, va)
             continue
         if p.mono == "const":
-            if abs(p.vlo - cur) > TOL:
+            if abs(va - cur) > TOL:
                 raise RepresentationError(
                     "plateau at level %r does not meet the branch at "
-                    "level %r" % (p.vlo, cur))
+                    "level %r" % (va, cur))
             point_decl = None
             continue
-        va, vb = (p.vlo, p.vhi) if rising_left else (p.vhi, p.vlo)
-        jump_x = p.xlo if rising_left else p.xhi
         if va > cur + TOL:
-            if point_decl and point_decl[0] == jump_x \
+            if point_decl and point_decl[0] == xa \
                     and point_decl[1] < va - TOL:
                 raise RepresentationError(
                     "membership at x=%r is declared %r but the jump "
                     "there attains %r; cut closedness needs the upper "
-                    "value" % (jump_x, point_decl[1], va))
-            segs.append(Segment(cur, va, _const_fn(jump_x), "const"))
+                    "value" % (xa, point_decl[1], va))
+            segs.append(Segment(cur, va, _const_fn(xa), "const"))
             cur = va
         elif va < cur - TOL:
             raise RepresentationError(
                 "membership must be nondecreasing %s the core (drops "
-                "to %r at x=%r against level %r)" % (side, va, jump_x, cur))
-        top = 1.0 if vb == 1.0 else vb
-        segs.append(Segment(cur, top, _invert(p, cur, top, rising_left),
-                            tag))
-        cur = top
+                "to %r at x=%r against level %r)" % (side, va, xa, cur))
+        segs.append(Segment(cur, vb, _invert(p, xa, xb, cur, vb), tag))
+        cur = vb
         point_decl = None
     if cur < 1.0:
         segs.append(Segment(cur, 1.0, _const_fn(core_x), "const"))

@@ -13,7 +13,7 @@ import math
 from .calculus import class_membership, classify_points, singular_at
 from .cutcore import expr as ex
 from .cutcore.build import from_membership_pieces, unit_affine
-from .cutcore.curve import (CutCurve, ExprFn, FuzzyNum, Segment, membership,
+from .cutcore.curve import (CutCurve, FuzzyNum, Segment, membership,
                             membership_outer_limit)
 from .cutcore.tolerance import TOL
 from .errors import SmootherConditionError
@@ -139,48 +139,35 @@ def _check_levels(w_curve, levels):
 
 
 def check_smoother_conditions(u, w):
-    """Evaluate every smoother condition of w against u."""
+    """Evaluate every smoother condition of w against u.
+
+    Conditions ending in -1 read the left branches, those ending in -2
+    the right branches, each read as the left branch of the mirror.
+    There w's level derivatives are exactly the negated ones, and the
+    zero-slope checks read only their magnitude.
+    """
     rep = ConditionReport()
-    wl, wr = w.left, w.right
-
-    wb_l = membership(w, w.support.lo)
-    wb_r = membership(w, w.support.hi)
-    ub_l = membership(u, u.support.lo)
-    ub_r = membership(u, u.support.hi)
-    base_ok = abs(wb_l - ub_l) <= TOL and abs(wb_r - ub_r) <= TOL
-    rep.set("i", "pass" if base_ok else "fail",
-            () if base_ok else (ub_l, ub_r))
-
     reqs = _requirement_levels(u)
-    req_l, req_r = reqs["left"], reqs["right"]
-
-    for key, req, wc in (("ii-1", req_l, wl), ("ii-2", req_r, wr)):
-        if not req["core_defect"]:
-            continue
-        ok = _zero_below_top(wc)
-        rep.set(key, "pass" if ok else "fail", (1.0,))
-
-    for key, req, wc in (("iii-1", req_l, wl), ("iii-2", req_r, wr)):
-        if req["base_strong"] is None:
-            continue
-        # the requirement lives at w's own base level
-        wb = wb_l if key == "iii-1" else wb_r
-        ok = wb >= 1.0 or _zero_above(wc, wb)
-        rep.set(key, "pass" if ok else "fail", (req["base_strong"],))
-
-    for key, req, wc in (("iv-1", req_l, wl), ("iv-2", req_r, wr)):
-        if not req["interior"]:
-            continue
-        good, bad = _check_levels(wc, req["interior"])
-        rep.set(key, "fail" if bad else "pass",
-                bad if bad else good)
-
-    for key, req, wc in (("v-1", req_l, wl), ("v-2", req_r, wr)):
-        if not req["limits"]:
-            continue
-        good, bad = _check_levels(wc, req["limits"])
-        rep.set(key, "fail" if bad else "pass",
-                bad if bad else good)
+    bases = []
+    for n, req, m in (("1", reqs["left"], w), ("2", reqs["right"], w.mirror)):
+        wc = m.left
+        wb = membership(m, m.support.lo)
+        bases.append((wb, req["base"]))
+        if req["core_defect"]:
+            rep.set("ii-" + n, "pass" if _zero_below_top(wc) else "fail",
+                    (1.0,))
+        if req["base_strong"] is not None:
+            # the requirement lives at w's own base level
+            ok = wb >= 1.0 or _zero_above(wc, wb)
+            rep.set("iii-" + n, "pass" if ok else "fail",
+                    (req["base_strong"],))
+        for key, levels in (("iv-", req["interior"]), ("v-", req["limits"])):
+            if levels:
+                good, bad = _check_levels(wc, levels)
+                rep.set(key + n, "fail" if bad else "pass", bad or good)
+    base_ok = all(abs(wb - ub) <= TOL for wb, ub in bases)
+    rep.set("i", "pass" if base_ok else "fail",
+            () if base_ok else [ub for _, ub in bases])
 
     rep.candidate_in_FD = class_membership(w).in_FD
 
@@ -226,24 +213,14 @@ class SmootherFamilySpec:
 
 def _parabola_cuts(p, l=0.0, r=0.0):
     """Cut curves of the parabola bump, optionally base-clipped."""
-    one = ex.const(1.0)
-    left = []
-    if l > 0.0:
-        left.append(Segment(0.0, l,
-                            ExprFn(ex.const(-p * math.sqrt(1.0 - l))),
-                            "const"))
-    left.append(Segment(l, 1.0,
-                        ExprFn(ex.scal(-p, ex.sqrt(ex.sub(one, ex.var())))),
-                        "inc"))
-    right = []
-    if r > 0.0:
-        right.append(Segment(0.0, r,
-                             ExprFn(ex.const(p * math.sqrt(1.0 - r))),
-                             "const"))
-    right.append(Segment(r, 1.0,
-                         ExprFn(ex.scal(p, ex.sqrt(ex.sub(one, ex.var())))),
-                         "dec"))
-    return CutCurve(left), CutCurve(right)
+    def left(clip):
+        segs = [Segment(clip, 1.0, ex.scal(-p, ex.sqrt(ex.sub(
+            ex.const(1.0), ex.var()))), "inc")]
+        if clip > 0.0:
+            segs.insert(0, Segment(0.0, clip, ex.const(
+                -p * math.sqrt(1.0 - clip)), "const"))
+        return CutCurve(segs)
+    return left(l), left(r).negated()
 
 
 def _as_expr(f, varname="a"):
@@ -276,9 +253,8 @@ def _validate_generator(fe):
 
 def _generator_cuts(p, fe):
     _validate_generator(fe)
-    left = CutCurve([Segment(0.0, 1.0, ExprFn(ex.scal(-p, fe)), "inc")])
-    right = CutCurve([Segment(0.0, 1.0, ExprFn(ex.scal(p, fe)), "dec")])
-    return left, right
+    left = CutCurve([Segment(0.0, 1.0, ex.scal(-p, fe), "inc")])
+    return left, left.negated()
 
 
 def _two_generator(spec):
@@ -376,28 +352,21 @@ def _cosine_step(s0, s1, x0, dx, rising, last):
         z = ex.add(ex.const(-1.0),
                    ex.scal(slope, ex.sub(ex.var(), ex.const(s1))))
     c = dx / math.pi
-    if rising:
-        if last:
-            body = ex.scal(c, ex.sub(ex.acos(z), ex.const(math.pi)))
-        else:
-            body = ex.add(ex.const(x0), ex.scal(c, ex.acos(z)))
-        return Segment(s0, s1, ExprFn(body), "inc")
+    arc, pi = ex.acos(z), ex.const(math.pi)
     if last:
-        body = ex.scal(c, ex.sub(ex.const(math.pi), ex.acos(z)))
+        body = ex.scal(c, ex.sub(arc, pi) if rising else ex.sub(pi, arc))
     else:
-        body = ex.add(ex.const(x0), ex.scal(-c, ex.acos(z)))
-    return Segment(s0, s1, ExprFn(body), "dec")
+        body = ex.add(ex.const(x0), ex.scal(c if rising else -c, arc))
+    return Segment(s0, s1, body, "inc" if rising else "dec")
 
 
 def _synth_branch(req, branch, p, lipschitz_cap):
-    """One cut curve of the synthesized smoother, plus its halfwidth."""
+    """One cut curve of the synthesized smoother."""
     levels = _branch_step_levels(req)
     base = levels[0]
     if base >= 1.0 - TOL:
         # this side of u is already crisp; pin the branch at zero
-        fn = ExprFn(ex.const(0.0))
-        mono = "const"
-        return CutCurve([Segment(0.0, 1.0, fn, mono)]), 0.0
+        return CutCurve([Segment(0.0, 1.0, ex.const(0.0), "const")])
     m = len(levels) - 1
     half = p
     if lipschitz_cap is not None:
@@ -408,13 +377,12 @@ def _synth_branch(req, branch, p, lipschitz_cap):
     rising = branch == "left"
     start = -half if rising else half
     if base > 0.0:
-        segs.append(Segment(0.0, base, ExprFn(ex.const(start)),
-                            "const"))
+        segs.append(Segment(0.0, base, ex.const(start), "const"))
     for j in range(m):
         x0 = start + j * dx if rising else start - j * dx
         segs.append(_cosine_step(levels[j], levels[j + 1], x0, dx,
                                  rising, j == m - 1))
-    return CutCurve(segs), half
+    return CutCurve(segs)
 
 
 def synthesize_smoother(u, p, preserve_core=False, lipschitz_cap=None):
@@ -439,12 +407,12 @@ def synthesize_smoother(u, p, preserve_core=False, lipschitz_cap=None):
                 "a crisp target admits only indicator smoothers, whose "
                 "core cannot shrink to a point; core preservation is "
                 "impossible")
-        left = CutCurve([Segment(0.0, 1.0, ExprFn(ex.const(-p)), "const")])
-        right = CutCurve([Segment(0.0, 1.0, ExprFn(ex.const(p)), "const")])
-        return FuzzyNum(left, right, name="synthesized(p=%r)" % (p,))
+        left = CutCurve([Segment(0.0, 1.0, ex.const(-p), "const")])
+        return FuzzyNum(left, left.negated(),
+                        name="synthesized(p=%r)" % (p,))
     reqs = _requirement_levels(u)
-    left, _ = _synth_branch(reqs["left"], "left", p, lipschitz_cap)
-    right, _ = _synth_branch(reqs["right"], "right", p, lipschitz_cap)
+    left = _synth_branch(reqs["left"], "left", p, lipschitz_cap)
+    right = _synth_branch(reqs["right"], "right", p, lipschitz_cap)
     w = FuzzyNum(left, right, name="synthesized(p=%r)" % (p,))
     if preserve_core:
         w = core_preserving_shift(w)
