@@ -6,16 +6,31 @@ import random
 
 import pytest
 
-from alphacut import (CutCurve, EndpointSpec, FuzzyNum, Segment, alpha_cut,
-                      class_membership, convolve, crisp_point, endpoint_value,
-                      left_deriv, membership, predicted_derivative,
-                      right_deriv, scale, strong_cut, validate)
+from alphacut import (CutCurve, EndpointSpec, FuzzyNum, Segment,
+                      StructuralError, alpha_cut, class_membership, convolve,
+                      crisp_point, endpoint_value, left_deriv, membership,
+                      predicted_derivative, right_deriv, scale, strong_cut,
+                      validate)
 from conftest import FIXTURE_NAMES, load_fixture
 
 import oracles
 
 SQ05 = math.sqrt(0.5)
 LEVELS = [k / 20.0 for k in range(21)]
+
+
+@pytest.mark.parametrize("order", ["bad-first", "bad-second"])
+def test_convolve_refuses_a_falling_left_curve(order):
+    """A left curve with a dec segment is not a fuzzy number's; its sum
+    with a crisp point, either way round, must be refused."""
+    bad = FuzzyNum(CutCurve([Segment(0.0, 0.5, "a", "inc"),
+                             Segment(0.5, 1.0, "1 - a", "dec")]),
+                   CutCurve([Segment(0.0, 1.0, "2 - a", "dec")]))
+    pair = (bad, crisp_point(0.0))
+    if order == "bad-second":
+        pair = pair[::-1]
+    with pytest.raises(StructuralError):
+        convolve(*pair)
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)

@@ -20,10 +20,7 @@ import math
 import os
 import random
 
-import pytest
-
-from alphacut import (CutCurve, FuzzyNum, Segment, SmootherConditionError,
-                      SmootherFamilySpec, StructuralError,
+from alphacut import (SmootherConditionError, SmootherFamilySpec,
                       check_smoother_conditions, convolve, crisp_point,
                       family, from_membership_pieces, scale,
                       synthesize_smoother)
@@ -171,20 +168,6 @@ def test_saved_text_is_pinned():
     assert sorted(got) == sorted(want)
     for key in want:
         assert got[key] == want[key], key
-
-
-@pytest.mark.parametrize("order", ["bad-first", "bad-second"])
-def test_convolve_refuses_a_falling_left_curve(order):
-    """A left curve with a dec segment is not a fuzzy number's, so its
-    sum with any number fails the representation conditions."""
-    bad = FuzzyNum(CutCurve([Segment(0.0, 0.5, "a", "inc"),
-                             Segment(0.5, 1.0, "1 - a", "dec")]),
-                   CutCurve([Segment(0.0, 1.0, "2 - a", "dec")]))
-    pair = (bad, crisp_point(0.0))
-    if order == "bad-second":
-        pair = pair[::-1]
-    with pytest.raises(StructuralError):
-        convolve(*pair)
 
 
 if __name__ == "__main__":
