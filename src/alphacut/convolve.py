@@ -117,6 +117,19 @@ def _const_above(curve, q):
     return False
 
 
+def _sum_slope(*ds):
+    """Left-branch slope where the factors' level derivatives ds add.
+
+    Any infinite derivative gives slope 0; any zero one is a jump, with
+    no finite slope (None).
+    """
+    if any(math.isinf(d) for d in ds):
+        return 0.0
+    if 0.0 in ds:
+        return None
+    return as_left_slope(sum(ds))
+
+
 def _predict_outward(u, v, q):
     """Left-branch slope from the left, away from the core (clean side)."""
     if q <= 0.0:
@@ -127,18 +140,14 @@ def _predict_outward(u, v, q):
         return None
     du = u.left.deriv_below(q)
     dv = v.left.deriv_below(q)
-    if math.isinf(du) or math.isinf(dv):
-        return 0.0
-    if du == 0.0 and dv == 0.0:
-        return None
-    if du == 0.0 or dv == 0.0:
-        # pass-through needs the flat factor to be a genuine jump
+    got = _sum_slope(du, dv)
+    if got is None and (du != 0.0 or dv != 0.0):
+        # one factor is flat: pass-through needs it to be a genuine jump
         jumper, other_d = (u, dv) if du == 0.0 else (v, du)
         lam = membership_outer_limit(jumper, jumper.left.value(q))
         if q - lam > TOL:
             return as_left_slope(other_d)
-        return None
-    return as_left_slope(du + dv)
+    return got
 
 
 def _predict_inward(u, v, q):
@@ -156,27 +165,11 @@ def _predict_inward(u, v, q):
     u_attains = abs(mu - q) <= TOL
     v_attains = abs(mv - q) <= TOL
     if u_attains and v_attains:
-        du = cu.deriv_above(q)
-        dv = cv.deriv_above(q)
-        if math.isinf(du) or math.isinf(dv):
-            return 0.0
-        if du == 0.0 or dv == 0.0:
-            return None
-        return as_left_slope(du + dv)
+        return _sum_slope(cu.deriv_above(q), cv.deriv_above(q))
     if u_attains and mv > q + TOL:
-        d = cu.deriv_above(q)
-        if math.isinf(d):
-            return 0.0
-        if d == 0.0:
-            return None
-        return as_left_slope(d)
+        return _sum_slope(cu.deriv_above(q))
     if v_attains and mu > q + TOL:
-        d = cv.deriv_above(q)
-        if math.isinf(d):
-            return 0.0
-        if d == 0.0:
-            return None
-        return as_left_slope(d)
+        return _sum_slope(cv.deriv_above(q))
     return None
 
 
@@ -197,13 +190,7 @@ def _predict_strong(u, v, q, side):
     mu = membership(u, cu.strong_value(q))
     mv = membership(v, cv.strong_value(q))
     if abs(mu - q) <= TOL and abs(mv - q) <= TOL:
-        du = cu.deriv_above(q)
-        dv = cv.deriv_above(q)
-        if math.isinf(du) or math.isinf(dv):
-            return 0.0
-        if du == 0.0 or dv == 0.0:
-            return None
-        return as_left_slope(du + dv)
+        return _sum_slope(cu.deriv_above(q), cv.deriv_above(q))
     return None
 
 

@@ -9,6 +9,8 @@ or one built on inv, the bisection inverse of a membership expression
 shifts, scalings and sums stay expressions.
 """
 
+from operator import le, lt
+
 from ..errors import StructuralError
 from . import expr as ex
 from .expr import InverseFn  # noqa: F401  (inv nodes solve through it)
@@ -404,91 +406,43 @@ def strong_cut(fz, alpha):
                     fz.right.strong_value(alpha))
 
 
-def _scan(curve, x, strict):
-    """sup of levels whose value on a left curve sits at or below x.
+def _scan(curve, x):
+    """(sup{level : value <= x}, sup{level : value < x}) on a left curve.
 
-    strict=True computes sup{level : value < x} instead, which is the
-    membership limit from the left at x.  Right-branch scans run on the
-    mirror's left curve at -x.
+    The second level is the membership limit from the left at x.
+    Right-branch scans run on the mirror's left curve at -x.  The
+    predicates v <= x and v < x agree wherever v != x, so one walk
+    serves both until a compared value equals x.  The strict level then
+    stops where the walk is: at a zero-width or const value equal to x,
+    or at a piece that starts at x.  A bisection midpoint with
+    fn(mid) == x parts them inside a piece: the non-strict level goes on
+    in [mid, hi] and the strict one in [lo, mid], each with the halvings
+    it has left.
     """
-    best = 0.0
+    best = 0.0  # the walk's level, always the current piece's lo
+    below = None  # the strict level, once it has stopped
     for s in curve.segments:
-        if s.width == 0.0:
-            v = s.fn(s.lo)
-            if (v < x) if strict else (v <= x):
-                best = max(best, s.lo)
-                continue
-            break
-        flo = s.fn(s.lo)
-        fhi = s.fn(s.hi)
-        if (fhi < x) if strict else (fhi <= x):
-            best = s.hi
-            continue
-        if strict and fhi == x and s.mono != "const":
-            # strictly increasing piece: every lower level is below x,
-            # so the supremum is the junction level itself, exactly
-            best = s.hi
-            continue
-        if (flo >= x) if strict else (flo > x):
-            break
-        if s.mono == "const":
-            # constant run equal to x under the strict scan stops here
-            break
-        if not strict and flo == x:
-            # a strictly monotone piece leaves x immediately, so the
-            # supremum is the start level itself; bisection would creep
-            # a few ulps past it through cancellation in fn
-            best = max(best, s.lo)
-            break
-        best = max(best, _bisect(s.fn, s.lo, s.hi, x, strict, BISECT_STEPS))
-        break
-    return best
-
-
-def _bisect(fn, lo, hi, x, strict, n):
-    """Halve [lo, hi] at most n times, keeping fn(lo) <= x (< x if strict)."""
-    for _ in range(n):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        v = fn(mid)
-        if v < x or (v == x and not strict):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def _scan_pair(curve, x):
-    """(_scan(curve, x, False), _scan(curve, x, True)) from one walk.
-
-    The predicates v <= x and v < x agree wherever v != x, so the two
-    scans make the same decisions until a compared value equals x.  A
-    bisection midpoint with fn(mid) == x parts them: the non-strict
-    scan goes on in [mid, hi] and the strict one in [lo, mid], each
-    with the halvings it has left.  A segment end or zero-width value
-    equal to x takes the two plain scans instead.
-    """
-    best = 0.0
-    for s in curve.segments:
-        if s.width == 0.0:
-            v = s.fn(s.lo)
-            if v == x:
-                return _scan(curve, x, False), _scan(curve, x, True)
-            if v < x:
-                best = max(best, s.lo)
-                continue
-            return best, best
-        flo = s.fn(s.lo)
-        fhi = s.fn(s.hi)
-        if flo == x or fhi == x:
-            return _scan(curve, x, False), _scan(curve, x, True)
-        if fhi < x:
-            best = s.hi
-            continue
-        if flo > x or s.mono == "const":
-            return best, best
         fn = s.fn
+        if s.width == 0.0:
+            v = fn(s.lo)
+            if not v <= x:
+                break
+            if v == x and below is None:
+                below = best
+            continue
+        fhi = fn(s.hi)
+        if fhi <= x:
+            # a moving piece ending at x is below x at every lower
+            # level, so the strict supremum is the junction level too
+            if fhi == x and s.mono == "const" and below is None:
+                below = best
+            best = s.hi
+            continue
+        if fn(s.lo) >= x or s.mono == "const":
+            # a piece starting at x leaves it at once, so both suprema
+            # are its start level; bisection would creep a few ulps
+            # past it through cancellation in fn
+            break
         lo, hi = s.lo, s.hi
         for i in range(BISECT_STEPS):
             mid = 0.5 * (lo + hi)
@@ -497,14 +451,29 @@ def _scan_pair(curve, x):
             v = fn(mid)
             if v == x:
                 n = BISECT_STEPS - 1 - i
-                return (max(best, _bisect(fn, mid, hi, x, False, n)),
-                        max(best, _bisect(fn, lo, mid, x, True, n)))
+                if below is None:
+                    below = max(best, _bisect(fn, lo, mid, x, lt, n))
+                return max(best, _bisect(fn, mid, hi, x, le, n)), below
             if v < x:
                 lo = mid
             else:
                 hi = mid
-        return max(best, lo), max(best, lo)
-    return best, best
+        best = max(best, lo)
+        break
+    return best, best if below is None else below
+
+
+def _bisect(fn, lo, hi, x, keep, n):
+    """Halve [lo, hi] at most n times, keeping keep(fn(lo), x)."""
+    for _ in range(n):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if keep(fn(mid), x):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def membership(fz, x):
@@ -516,8 +485,8 @@ def membership(fz, x):
     if core.lo <= x <= core.hi:
         return 1.0
     if x < core.lo:
-        return _scan(fz.left, x, strict=False)
-    return _scan(fz.mirror.left, -x, strict=False)
+        return _scan(fz.left, x)[0]
+    return _scan(fz.mirror.left, -x)[0]
 
 
 def membership_outer_limit(fz, x):
@@ -532,9 +501,9 @@ def membership_outer_limit(fz, x):
     if x <= sup.lo or x >= sup.hi:
         return 0.0
     if x <= core.lo:
-        return _scan(fz.left, x, strict=True)
+        return _scan(fz.left, x)[1]
     if x >= core.hi:
-        return _scan(fz.mirror.left, -x, strict=True)
+        return _scan(fz.mirror.left, -x)[1]
     return 1.0
 
 
@@ -548,9 +517,9 @@ def membership_pair(fz, x):
     sup = fz.support
     core = fz.core
     if sup.lo < x < core.lo:
-        return _scan_pair(fz.left, x)
+        return _scan(fz.left, x)
     if core.hi < x < sup.hi:
-        return _scan_pair(fz.mirror.left, -x)
+        return _scan(fz.mirror.left, -x)
     return membership(fz, x), membership_outer_limit(fz, x)
 
 

@@ -10,7 +10,8 @@ knots sit exactly at the levels u makes dangerous.
 
 import math
 
-from .calculus import class_membership, classify_points, singular_at
+from .calculus import (as_left_slope, class_membership, classify_points,
+                       singular_at)
 from .cutcore import expr as ex
 from .cutcore.build import from_membership_pieces, unit_affine
 from .cutcore.curve import (CutCurve, FuzzyNum, Segment, membership,
@@ -71,23 +72,14 @@ class ConditionReport:
         return "ConditionReport(theorem=%s)" % self.theorem
 
 
-def _is_zero_slope(d):
-    """True when a level derivative means zero membership slope."""
-    if math.isinf(d):
-        return True
-    if d == 0.0:
-        return False
-    return abs(1.0 / d) <= TOL
-
-
 def _zero_above(curve, level):
     if level >= 1.0:
         return False
-    return _is_zero_slope(curve.deriv_above(level))
+    return abs(as_left_slope(curve.deriv_above(level))) <= TOL
 
 
 def _zero_below_top(curve):
-    return _is_zero_slope(curve.deriv_below(1.0))
+    return abs(as_left_slope(curve.deriv_below(1.0))) <= TOL
 
 
 def _requirement_levels(u):

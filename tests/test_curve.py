@@ -202,7 +202,7 @@ def _square_number():
 
 
 def test_pair_scan_parts_at_the_first_halving():
-    """fn(mid) == x at the first midpoint: the two scans part at once."""
+    """fn(mid) == x at the first midpoint: the two levels part at once."""
     fz = _square_number()
     s = fz.left.segments[0]
     x = s.fn(0.5 * (s.lo + s.hi))
@@ -211,7 +211,7 @@ def test_pair_scan_parts_at_the_first_halving():
         level, outer = membership_pair(num, at)
         assert level.hex() == membership(num, at).hex()
         assert outer.hex() == membership_outer_limit(num, at).hex()
-        # the non-strict scan keeps the midpoint, the strict one stays
+        # the non-strict level keeps the midpoint, the strict one stays
         # below it
         assert level == 0.5
         assert outer < level

@@ -143,7 +143,8 @@ def _assert_pair_is_both_scans(fz, x):
 
 @given(fuzzy_numbers())
 def test_membership_pair_is_both_scans_bitwise(fz):
-    """One shared walk gives what the two separate scans give."""
+    """membership_pair answers what membership and membership_outer_limit
+    answer, bitwise, at every probe on u and -u."""
     neg = scale(-1.0, fz)
     for x in _pair_probes(fz):
         _assert_pair_is_both_scans(fz, x)
@@ -153,7 +154,7 @@ def test_membership_pair_is_both_scans_bitwise(fz):
 @given(st.sampled_from(["tail-jump", "split-peak", "cosine-tail",
                         "asymmetric-kink"]))
 def test_membership_pair_is_both_scans_on_smoothing_steps(name):
-    """The same on curved segments: cosine smoothers added to the fixture."""
+    """The same on curved segments: a fixture and its smoothing step."""
     u = load_fixture(name)
     step = convolve(u, scale(0.5, synthesize_smoother(u, 0.5)))
     for fz in (u, step):
