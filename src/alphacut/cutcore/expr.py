@@ -413,6 +413,9 @@ def _fmt_num(v):
     if math.isinf(v):
         # parse reads 1e999 back as inf, and could not read "inf"
         return "-1e999" if v < 0 else "1e999"
+    if v != v:
+        # nor "nan"; this folds back to a NaN constant
+        return "(1e999 - 1e999)"
     return repr(v)
 
 

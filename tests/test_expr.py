@@ -137,6 +137,20 @@ def test_infinite_constants_print_and_read_back(text):
     assert ex.parse(ex.to_text(e)) == e
 
 
+@pytest.mark.parametrize("text", ["1e999 - 1e999 + a", "(1e999 - 1e999)*a",
+                                  "a - (1e999 - 1e999)", "a*(0*1e999)",
+                                  "inv(x, 0, 1)*(1e999 - 1e999)"])
+def test_nan_constants_print_and_read_back(text):
+    """inf - inf folds to a NaN constant; its text reads back as a NaN
+    constant in the same place, so the tree prints the same again."""
+    e = ex.parse(text)
+    out = ex.to_text(e)
+    back = ex.parse(out)
+    assert ex.to_text(back) == out
+    assert repr(e) == "Expr(%s)" % out
+    assert math.isnan(ex.evaluate(back, 0.5))
+
+
 @pytest.mark.parametrize("text", ["sqrt(0)", "sqrt(0 - 1)",
                                   "sqrt(2)*sqrt(0)", "sqrt(0)^3 + 1"])
 def test_derivative_of_constant_subterm_is_zero(text):
