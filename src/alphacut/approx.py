@@ -14,7 +14,7 @@ from .calculus import (candidate_points, class_membership,
                        sup_metric)
 from .convolve import convolve, scale
 from .cutcore.curve import membership
-from .cutcore.tolerance import TOL
+from .cutcore.tolerance import DIST_SLACK, LIP_SLACK, TOL
 from .errors import SmootherConditionError
 from .smoother import check_smoother_conditions
 
@@ -79,7 +79,7 @@ class ErrorReport:
     def monotone(self):
         """Nonincreasing measured error, within the certified gaps."""
         for a, b in zip(self.rows, self.rows[1:]):
-            slack = a["gap"] + b["gap"] + 1e-12
+            slack = a["gap"] + b["gap"] + DIST_SLACK
             if b["measured"] > a["measured"] + slack:
                 return False
         return True
@@ -137,7 +137,7 @@ def approximate(u, smoother, schedule=None, verify=True):
             "measured": measured,
             "gap": gap,
             "bound": bound,
-            "ok": measured <= bound + max(gap, 1e-12),
+            "ok": measured <= bound + max(gap, DIST_SLACK),
         }
         if verify:
             row["smooth"] = verify_smoothness(step).overall
@@ -191,7 +191,7 @@ def preservation_report(u, steps, smoother, schedule):
             "core_ok": step.core == ucore,
             "k_step": k_step,
             "k_bound": k_bound,
-            "lip_ok": (k_step <= k_bound + 1e-6) if premises else None,
+            "lip_ok": (k_step <= k_bound + LIP_SLACK) if premises else None,
         }
         rows.append(row)
     return PreservationReport(rows, premises, k_w)

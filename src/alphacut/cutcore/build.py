@@ -23,7 +23,7 @@ import math
 from ..errors import RepresentationError
 from . import expr as ex
 from .curve import CutCurve, ExprFn, FuzzyNum, Segment
-from .tolerance import TOL, TURN_SLACK
+from .tolerance import TOL, TURN_SLACK, VERTEX_SLACK
 
 
 class _Piece:
@@ -154,7 +154,8 @@ def _invert_quadratic(coeffs, xa, xb, va, vb):
     c0, c1, c2 = coeffs
     x0 = -c1 / (2.0 * c2)
     span = abs(xb - xa)
-    if min(xa, xb) + 1e-12 * span < x0 < max(xa, xb) - 1e-12 * span:
+    slack = VERTEX_SLACK * span
+    if min(xa, xb) + slack < x0 < max(xa, xb) - slack:
         raise RepresentationError(
             "piece tagged monotone spans the parabola vertex at x=%r"
             % (x0,))

@@ -14,7 +14,7 @@ from operator import le, lt
 from ..errors import StructuralError
 from . import expr as ex
 from .expr import InverseFn  # noqa: F401  (inv nodes solve through it)
-from .tolerance import BISECT_STEPS, LEVEL_TOL
+from .tolerance import BISECT_STEPS, LEVEL_TOL, MONO_SLACK
 
 MONO_TAGS = ("inc", "dec", "const")
 
@@ -76,7 +76,7 @@ class Segment:
     def check_mono(self):
         """Raise if the sampled derivative contradicts the tag.
 
-        The tolerance is 1e-9 times the value's magnitude, at least 1,
+        The tolerance is MONO_SLACK times the value's magnitude, at least 1,
         so scaling a segment by c > 0 never makes it fail where the
         value is at least 1 in magnitude or c is at most 1.
         """
@@ -92,7 +92,7 @@ class Segment:
                 bad, what = d, "increases"
             else:
                 bad, what = abs(d), "varies"
-            if bad > 1e-9 and bad > 1e-9 * max(1.0, abs(self.fn(a))):
+            if bad > MONO_SLACK * max(1.0, abs(self.fn(a))):
                 raise StructuralError(
                     "segment tagged %s %s at level %r" % (self.mono, what, a))
 

@@ -11,7 +11,7 @@ import math
 
 from ..errors import ParseError
 from .enclose import enclosed  # noqa: F401  (part of this module's API)
-from .tolerance import BISECT_STEPS
+from .tolerance import BISECT_STEPS, INV_XTOL
 
 _FUNCS = ("sqrt", "sin", "cos", "asin", "acos")
 
@@ -312,7 +312,7 @@ class InverseFn:
     """Generalized inverse of a monotone membership expression.
 
     Solves m(x) = alpha for x on [xlo, xhi] by bisection to an
-    absolute abscissa tolerance of 1e-12 (at most BISECT_STEPS halvings).
+    abscissa tolerance of INV_XTOL (at most BISECT_STEPS halvings).
     This is how inv and dinv nodes evaluate.
     """
 
@@ -343,7 +343,7 @@ class InverseFn:
                 lo = mid
             else:
                 hi = mid
-            if hi - lo <= 1e-12:
+            if hi - lo <= INV_XTOL:
                 break
         return 0.5 * (lo + hi)
 

@@ -16,7 +16,7 @@ from .cutcore import expr as ex
 from .cutcore.build import from_membership_pieces, unit_affine
 from .cutcore.curve import (CutCurve, FuzzyNum, Segment, membership,
                             membership_outer_limit)
-from .cutcore.tolerance import TOL
+from .cutcore.tolerance import MIN_DESCENT, TOL, TOL_SLOPE
 from .errors import SmootherConditionError
 
 CONDITION_KEYS = ("i", "ii-1", "ii-2", "iii-1", "iii-2",
@@ -232,7 +232,7 @@ def _validate_generator(fe):
     d = ex.derivative(fe)
     for k in range(1, 32):
         a = k / 32.0
-        if ex.evaluate(d, a) > -1e-12:
+        if ex.evaluate(d, a) > -MIN_DESCENT:
             raise ValueError(
                 "generator must be strictly decreasing on [0, 1]; "
                 "slope fails at %r" % (a,))
@@ -278,9 +278,9 @@ def _two_generator(spec):
         raise ValueError(
             "falling generator must map 0 to 1 and 1 to the right "
             "base level, got g(0)=%r g(1)=%r" % (g0, g1))
-    if abs(ex.evaluate(ex.derivative(fe), 1.0)) > 1e-6:
+    if abs(ex.evaluate(ex.derivative(fe), 1.0)) > TOL_SLOPE:
         raise ValueError("rising generator needs zero slope at 1")
-    if abs(ex.evaluate(ex.derivative(ge), 0.0)) > 1e-6:
+    if abs(ex.evaluate(ex.derivative(ge), 0.0)) > TOL_SLOPE:
         raise ValueError("falling generator needs zero slope at 0")
     sub_f = ex.scal(1.0 / (xb - xa), ex.sub(ex.var(), ex.const(xa)))
     sub_g = ex.scal(1.0 / (xd - xc), ex.sub(ex.var(), ex.const(xc)))
