@@ -200,11 +200,8 @@ def _g(x):
 
 
 def emit_csv_cuts(fz, grid):
-    levels = set(k / grid for k in range(grid + 1))
-    levels.update(fz.left.breakpoints())
-    levels.update(fz.right.breakpoints())
     lines = ["alpha,lo,hi"]
-    for alpha, lo, hi in sample(fz, sorted(levels)):
+    for alpha, lo, hi in sample(fz, [k / grid for k in range(grid + 1)]):
         lines.append("%s,%s,%s" % (_g(alpha), _g(lo), _g(hi)))
     return "\n".join(lines) + "\n"
 
