@@ -153,8 +153,7 @@ def _invert_affine(xa, xb, va, vb):
 def _invert_quadratic(coeffs, xa, xb, va, vb):
     c0, c1, c2 = coeffs
     x0 = -c1 / (2.0 * c2)
-    span = abs(xb - xa)
-    slack = VERTEX_SLACK * span
+    slack = VERTEX_SLACK * abs(xb - xa)
     if min(xa, xb) + slack < x0 < max(xa, xb) - slack:
         raise RepresentationError(
             "piece tagged monotone spans the parabola vertex at x=%r"

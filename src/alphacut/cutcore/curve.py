@@ -433,7 +433,7 @@ def _scan(curve, x):
         fhi = fn(s.hi)
         if fhi <= x:
             # a moving piece ending at x is below x at every lower
-            # level, so the strict supremum is the junction level too
+            # level, so only a const one stops the strict level here
             if fhi == x and s.mono == "const" and below is None:
                 below = best
             best = s.hi
