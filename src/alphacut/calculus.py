@@ -384,11 +384,10 @@ def classify_points(fz):
         sup = fz.support
         pts = []
         for x in candidate_points(fz):
-            if x - sup.lo <= TOL or sup.hi - x <= TOL:
-                continue
-            p = singular_at(fz, x)
-            if p is not None:
-                pts.append(p)
+            if x - sup.lo > TOL and sup.hi - x > TOL:
+                p = singular_at(fz, x)
+                if p is not None:
+                    pts.append(p)
         _POINTS[fz] = pts
     return list(pts)
 

@@ -476,51 +476,41 @@ def _bisect(fn, lo, hi, x, keep, n):
     return lo
 
 
-def membership(fz, x):
-    """Membership level of x, exact at stored breakpoint images."""
+def membership_pair(fz, x):
+    """(membership level of x, its outer limit), from one scan.
+
+    The outer limit is the membership limit at x from the side away
+    from the core: from the left on the left branch, from the right on
+    the right branch.  It is the level written lambda in jump
+    classifications.  Both are exact at stored breakpoint images.
+    """
+    if x != x:
+        raise ValueError("x=%r is not a number" % (x,))
     sup = fz.support
     if x < sup.lo or x > sup.hi:
-        return 0.0
+        return 0.0, 0.0
     core = fz.core
-    if core.lo <= x <= core.hi:
-        return 1.0
-    if x < core.lo:
-        return _scan(fz.left, x)[0]
-    return _scan(fz.mirror.left, -x)[0]
+    if core.lo < x < core.hi:
+        return 1.0, 1.0
+    if x <= core.lo:
+        level, outer = _scan(fz.left, x)
+    else:
+        level, outer = _scan(fz.mirror.left, -x)
+    if x == core.lo or x == core.hi:
+        level = 1.0
+    if x == sup.lo or x == sup.hi:
+        outer = 0.0
+    return level, outer
+
+
+def membership(fz, x):
+    """Membership level of x, exact at stored breakpoint images."""
+    return membership_pair(fz, x)[0]
 
 
 def membership_outer_limit(fz, x):
-    """Membership limit at x from the side away from the core.
-
-    On the left branch this is the limit from the left, on the right
-    branch the limit from the right; it is the level written lambda
-    in jump classifications.
-    """
-    sup = fz.support
-    core = fz.core
-    if x <= sup.lo or x >= sup.hi:
-        return 0.0
-    if x <= core.lo:
-        return _scan(fz.left, x)[1]
-    if x >= core.hi:
-        return _scan(fz.mirror.left, -x)[1]
-    return 1.0
-
-
-def membership_pair(fz, x):
-    """(membership(fz, x), membership_outer_limit(fz, x)), bitwise.
-
-    Off the core and inside the support both levels scan the same left
-    curve, so one shared walk answers both; elsewhere this is the two
-    calls.
-    """
-    sup = fz.support
-    core = fz.core
-    if sup.lo < x < core.lo:
-        return _scan(fz.left, x)
-    if core.hi < x < sup.hi:
-        return _scan(fz.mirror.left, -x)
-    return membership(fz, x), membership_outer_limit(fz, x)
+    """Membership limit at x from the side away from the core."""
+    return membership_pair(fz, x)[1]
 
 
 def sample(fz, grid):

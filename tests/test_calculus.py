@@ -8,9 +8,10 @@ import pytest
 
 from alphacut import (alpha_cut, calculus, class_membership, classify_points,
                       convolve, from_membership_pieces, left_deriv,
-                      lipschitz_estimate, membership, numeric_slope,
-                      right_deriv, scale, singular_at, strong_cut,
-                      sup_metric)
+                      lipschitz_estimate, membership,
+                      membership_outer_limit, numeric_slope, right_deriv,
+                      scale, singular_at, strong_cut, sup_metric)
+from alphacut.cutcore.curve import membership_pair
 from conftest import EXAMPLE_NAMES, FIXTURE_NAMES, load_fixture
 
 import oracles
@@ -79,6 +80,16 @@ def test_slope_outside_support_is_an_error():
         left_deriv(fz, 5.0)
     with pytest.raises(ValueError):
         right_deriv(fz, -5.0)
+
+
+@pytest.mark.parametrize("query", [membership, membership_outer_limit,
+                                   membership_pair, singular_at,
+                                   left_deriv, right_deriv])
+@pytest.mark.parametrize("name", ["triangle", "tail-jump", "point"])
+def test_nan_abscissa_is_an_error(query, name):
+    """Every comparison with NaN is false, so no boundary rule holds."""
+    with pytest.raises(ValueError, match="nan"):
+        query(load_fixture(name), math.nan)
 
 
 def test_smoothed_kink_slopes_match_closed_form():
