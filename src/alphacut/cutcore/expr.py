@@ -745,10 +745,10 @@ def trig_decompose(e):
     amp, core, shift = _split_affine_wrap(e)
     if core is None or core.kind not in ("sin", "cos"):
         return None
-    inner = is_affine(core.args[0])
-    if inner is None or inner[0] == 0.0:
+    inner = poly_coeffs(core.args[0])
+    if inner is None or inner[2] != 0.0 or inner[1] == 0.0:
         return None
-    return (core.kind, amp, inner[0], inner[1], shift)
+    return (core.kind, amp, inner[1], inner[0], shift)
 
 
 def _split_affine_wrap(e):
@@ -768,36 +768,3 @@ def _split_affine_wrap(e):
             amp, core, shift = _split_affine_wrap(a)
             return amp, core, shift + sgn * b.value
     return 0.0, None, 0.0
-
-
-def is_affine(e):
-    """Return (slope, intercept) if e is affine in the variable, else None."""
-    k = e.kind
-    if k == "const":
-        return (0.0, e.value)
-    if k == "var":
-        return (1.0, 0.0)
-    if k in ("add", "sub"):
-        a = is_affine(e.args[0])
-        b = is_affine(e.args[1])
-        if a is None or b is None:
-            return None
-        if k == "add":
-            return (a[0] + b[0], a[1] + b[1])
-        return (a[0] - b[0], a[1] - b[1])
-    if k == "scal":
-        a = is_affine(e.args[0])
-        if a is None:
-            return None
-        return (e.value * a[0], e.value * a[1])
-    if k == "mul":
-        a = is_affine(e.args[0])
-        b = is_affine(e.args[1])
-        if a is None or b is None:
-            return None
-        if a[0] == 0.0:
-            return (a[1] * b[0], a[1] * b[1])
-        if b[0] == 0.0:
-            return (b[1] * a[0], b[1] * a[1])
-        return None
-    return None

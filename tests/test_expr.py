@@ -238,12 +238,9 @@ def test_poly_coeffs_affine():
     c = ex.poly_coeffs(ex.parse("3*a - 2"))
     assert c is not None
     assert c[0] == -2.0 and c[1] == 3.0
+    assert ex.poly_coeffs(ex.parse("2*a + 1")) == [1.0, 2.0, 0.0]
+    assert ex.poly_coeffs(ex.parse("a^2"))[2] != 0.0
     assert ex.poly_coeffs(ex.parse("sin(a)")) is None
-
-
-def test_is_affine():
-    assert ex.is_affine(ex.parse("2*a + 1"))
-    assert not ex.is_affine(ex.parse("a^2"))
 
 
 def test_one_sided_derivative_oracle_agrees():
