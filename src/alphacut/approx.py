@@ -9,7 +9,7 @@ Lipschitz preservation.
 import bisect
 import math
 
-from .calculus import (candidate_points, class_membership,
+from .calculus import (candidate_points, class_membership, classify_points,
                        lipschitz_estimate, regular_intervals, singular_at,
                        sup_metric)
 from .convolve import convolve, scale
@@ -40,33 +40,35 @@ class DifferentiabilityReport:
 def verify_smoothness(fz, grid=1000):
     """Audit structural candidates plus a uniform grid for defects.
 
-    An abscissa inside one of regular_intervals(fz) is proven regular
-    and skipped; every other one goes through singular_at.  The report
-    is the one probing every abscissa would give, bitwise.
+    The candidates' verdicts are classify_points(fz).  A grid abscissa
+    inside one of regular_intervals(fz) is proven regular and skipped;
+    every other one goes through singular_at.  The report is the one
+    probing every abscissa would give, bitwise.
     """
     sup = fz.support
-    xs = set()
+    cands = set()
     for x in candidate_points(fz):
         if x - sup.lo > TOL and sup.hi - x > TOL:
-            xs.add(x)
+            cands.add(x)
+    xs = set()
     if sup.width > 0.0:
         for k in range(1, grid):
             x = sup.lo + sup.width * k / grid
-            if x - sup.lo > TOL and sup.hi - x > TOL:
+            if x - sup.lo > TOL and sup.hi - x > TOL and x not in cands:
                 xs.add(x)
-    probes = sorted(xs)
     regular = regular_intervals(fz)
     starts = [lo for lo, _ in regular]
-    failures = []
-    for x in probes:
+    failures = classify_points(fz)
+    for x in xs:
         i = bisect.bisect_left(starts, x) - 1
         if i >= 0 and x < regular[i][1]:
             continue
         pt = singular_at(fz, x)
         if pt is not None:
             failures.append(pt)
+    failures.sort(key=lambda p: p.x)
     overall = not failures and class_membership(fz).in_FD
-    return DifferentiabilityReport(len(probes), failures, overall)
+    return DifferentiabilityReport(len(cands) + len(xs), failures, overall)
 
 
 class ErrorReport:
