@@ -16,8 +16,8 @@ from .calculus import (ClassFlags, ExtendedSlope, SingularPoint,
                        singular_at, sup_metric)
 from .convolve import (EndpointSpec, convolve, crisp_point,
                        endpoint_value, predicted_derivative, scale)
-from .cutcore import (CutCurve, ExprFn, FuzzyNum, Interval, InverseFn,
-                      Segment, ValidationReport, alpha_cut, expr,
+from .cutcore import (CutCurve, ExprFn, FuzzyNum, Interval, Segment,
+                      ValidationReport, alpha_cut, expr,
                       from_membership_pieces, membership,
                       membership_outer_limit, sample, strong_cut,
                       validate)
@@ -41,7 +41,6 @@ __all__ = [
     "ExtendedSlope",
     "FuzzyNum",
     "Interval",
-    "InverseFn",
     "ParseError",
     "PreservationReport",
     "RepresentationError",

@@ -176,7 +176,9 @@ def numeric_slope(fz, x, side):
     """Richardson-extrapolated one-sided difference quotient.
 
     Cross-checks the symbolic route; the ladder refines h until two
-    consecutive extrapolations agree or the ladder is exhausted.
+    consecutive extrapolations agree or the ladder is exhausted.  It
+    stays public as the finite-difference reference that
+    tests/test_calculus.py checks the symbolic slopes against.
     """
     sgn = -1.0 if side == "left" else 1.0
     m0 = membership(fz, x)

@@ -301,8 +301,6 @@ def _cmd_validate(args):
 
 def _cmd_cut(args):
     fz = load_document(args.file)
-    if not 0.0 <= args.level <= 1.0:
-        raise ValueError("level %r outside [0, 1]" % (args.level,))
     if args.strong:
         from .cutcore.curve import strong_cut as fn
     else:

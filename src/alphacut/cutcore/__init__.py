@@ -5,7 +5,6 @@ from .curve import (
     ExprFn,
     FuzzyNum,
     Interval,
-    InverseFn,
     Segment,
     ValidationReport,
     alpha_cut,
@@ -23,7 +22,6 @@ __all__ = [
     "ExprFn",
     "FuzzyNum",
     "Interval",
-    "InverseFn",
     "Segment",
     "ValidationReport",
     "alpha_cut",

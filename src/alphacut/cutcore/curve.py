@@ -394,8 +394,6 @@ def validate(fz, tol=LEVEL_TOL):
 
 
 def alpha_cut(fz, alpha):
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("level %r outside [0, 1]" % (alpha,))
     return Interval(fz.left.value(alpha), fz.right.value(alpha))
 
 
