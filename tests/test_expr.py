@@ -238,9 +238,17 @@ def test_poly_coeffs_affine():
     c = ex.poly_coeffs(ex.parse("3*a - 2"))
     assert c is not None
     assert c[0] == -2.0 and c[1] == 3.0
+    assert ex.poly_coeffs(ex.parse("sin(a)")) is None
+
+
+def test_is_affine():
+    # An argument is affine when poly_coeffs gives c2 == 0.0; trig_decompose
+    # matches sin or cos of such an argument and nothing else.
     assert ex.poly_coeffs(ex.parse("2*a + 1")) == [1.0, 2.0, 0.0]
     assert ex.poly_coeffs(ex.parse("a^2"))[2] != 0.0
-    assert ex.poly_coeffs(ex.parse("sin(a)")) is None
+    assert ex.trig_decompose(ex.parse("sin(2*a + 1)")) == (
+        "sin", 1.0, 2.0, 1.0, 0.0)
+    assert ex.trig_decompose(ex.parse("sin(a^2)")) is None
 
 
 def test_one_sided_derivative_oracle_agrees():
