@@ -6,14 +6,19 @@ records every comparison the walk made.  This pins, per number, a
 digest of the float.hex of all three at: a grid over the support, the
 candidate points, and the value at each segment's ends and level
 midpoint (where a bisection first compares), each also 1 ulp either
-side; on u and on -u.  The numbers are every fixture with its
-smoother and one smoothing step, hand-built curves with zero-width
-segments, const runs and own_right=False, an x^3 number and seeded
-draws from the plan of conftest.fuzzy_numbers.  A refactor of the scans
-must reproduce every digest.
+side; on u and on -u.  A second digest per number pins the level
+lookups of both cut curves, right_limit, left_limit, deriv_above,
+deriv_below and strong_value, at each segment end, 1 ulp either side
+of it and at each level midpoint, with sup_metric and the document
+text of convolve against two fixed partners.  The numbers are every
+fixture with its smoother and one smoothing step, hand-built curves
+with zero-width segments, const runs and own_right=False, an x^3
+number and seeded draws from the plan of conftest.fuzzy_numbers.  A
+refactor of the scans or of the level lookups must reproduce every
+digest.
 
 The digests live in scan_pins.json next to this file.  Rerecord them
-only for an intended change of the scans:
+only for an intended change of the scans or the lookups:
 
     PYTHONPATH=src python tests/test_scan_pins.py
 """
@@ -24,10 +29,15 @@ import math
 import os
 import random
 
+import pytest
+
 from alphacut import (CutCurve, FuzzyNum, Segment, convolve,
                       from_membership_pieces, membership,
-                      membership_outer_limit, scale, synthesize_smoother)
+                      membership_outer_limit, scale, sup_metric,
+                      synthesize_smoother)
 from alphacut.calculus import candidate_points
+from alphacut.cli import document_text
+from alphacut.errors import StructuralError
 from alphacut.cutcore.curve import membership_pair
 
 from conftest import (FIXTURE_NAMES, _GAPS, _KNOTS, _SLOPES,
@@ -81,6 +91,10 @@ HAND_PAIRS = (("zero-width", "declined-run"), ("declined-run", "zero-width"),
 X3_PIECES = [(-1.0, 0.0, "(x + 1)^3", "inc"), (0.0, 1.0, "1 - x^3", "dec")]
 
 SEEDS = range(64)
+
+# the fixed partners of sup_metric and convolve: one continuous, one
+# with cut jumps
+PARTNERS = ("triangle", "tail-jump")
 
 
 def _hand_curve(spec):
@@ -152,17 +166,69 @@ def _digest(fz):
     return h.hexdigest()
 
 
+def _hexes(vals):
+    return " ".join(v.hex() for v in vals)
+
+
+def _lookup_lines(fz, partners):
+    """The level lookups, sup_metric and convolution text, as lines."""
+    levels = set()
+    for curve in (fz.left, fz.right):
+        for s in curve.segments:
+            for a in (s.lo, s.hi):
+                levels.update((math.nextafter(a, -math.inf), a,
+                               math.nextafter(a, math.inf)))
+            levels.add(0.5 * (s.lo + s.hi))
+    for a in sorted(t for t in levels if 0.0 <= t <= 1.0):
+        for curve in (fz.left, fz.right):
+            vals = [a]
+            if a < 1.0:
+                vals += [curve.right_limit(a), curve.deriv_above(a)]
+            if a > 0.0:
+                vals += [curve.left_limit(a), curve.deriv_below(a)]
+            vals.append(curve.strong_value(a))
+            yield _hexes(vals)
+    for p in partners:
+        yield _hexes(sup_metric(fz, p))
+        try:
+            yield document_text(convolve(fz, p))
+        except StructuralError as err:
+            yield "%s: %s" % (type(err).__name__, err)
+
+
+def _lookup_digest(fz, partners):
+    h = hashlib.sha256()
+    for line in _lookup_lines(fz, partners):
+        h.update((line + "\n").encode())
+    return h.hexdigest()
+
+
 def _digests():
-    return {key: _digest(fz) for key, fz in _numbers()}
+    partners = [load_fixture(name) for name in PARTNERS]
+    return {key: {"scans": _digest(fz),
+                  "lookups": _lookup_digest(fz, partners)}
+            for key, fz in _numbers()}
 
 
-def test_scans_are_pinned():
-    got = _digests()
+@pytest.fixture(scope="module")
+def digests():
+    return _digests()
+
+
+def _check_pins(got, kind):
     with open(PINS_PATH) as fh:
         want = json.load(fh)
     assert sorted(got) == sorted(want)
     for key in want:
-        assert got[key] == want[key], key
+        assert got[key][kind] == want[key][kind], key
+
+
+def test_scans_are_pinned(digests):
+    _check_pins(digests, "scans")
+
+
+def test_level_lookups_are_pinned(digests):
+    _check_pins(digests, "lookups")
 
 
 if __name__ == "__main__":
