@@ -11,7 +11,7 @@ import math
 import weakref
 
 from .cutcore import expr as ex
-from .cutcore.curve import membership, membership_pair
+from .cutcore.curve import common_pieces, membership, membership_pair
 from .cutcore.tolerance import TOL, TOL_SLOPE
 
 FD_LADDER = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
@@ -416,33 +416,26 @@ def _strictly_monotone_above_base(curve):
     return True
 
 
-def _has_cut_jump(curve):
-    """Any level where the cut endpoint differs from its right limit."""
-    for b in curve.breakpoints():
-        if abs(curve.right_limit(b) - curve.value(b)) > TOL:
-            return True
-    return False
-
-
 def class_membership(fz):
     """Class flags for the four families."""
     pts = classify_points(fz)
     in_fc = (_strictly_monotone_above_base(fz.left)
              and _strictly_monotone_above_base(fz.right))
     in_fn = not any(p.branch in ("left", "right") for p in pts)
-    in_ft = (in_fn and not _has_cut_jump(fz.left)
-             and not _has_cut_jump(fz.right))
+    in_ft = in_fn and not any(curve.jumps_at(b)
+                              for curve in (fz.left, fz.right)
+                              for b in curve.breakpoints())
     in_fd = in_fc and not pts and fz.support.width > 0.0
     return ClassFlags(in_ft, in_fn, in_fc, in_fd)
 
 
-def _golden_max(f, a, b, iters=90):
+def _golden_max(f, a, b):
     invphi = 0.5 * (math.sqrt(5.0) - 1.0)
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc = f(c)
     fd = f(d)
-    for _ in range(iters):
+    for _ in range(90):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -461,22 +454,17 @@ def sup_metric(u, v):
     best = 0.0
     gap = 0.0
     for cu, cv in ((u.left, v.left), (u.right, v.right)):
-        knots = sorted(set([0.0, 1.0]
-                           + cu.breakpoints() + cv.breakpoints()))
-        for a in knots:
+        best = max(best, abs(cu.value(1.0) - cv.value(1.0)))
+        for a, b, su, sv in common_pieces(cu, cv):
             best = max(best, abs(cu.value(a) - cv.value(a)))
-            if a < 1.0:
-                best = max(best,
-                           abs(cu.right_limit(a) - cv.right_limit(a)))
-        for a, b in zip(knots, knots[1:]):
-            if b <= a:
-                continue
             n = 128
             h = (b - a) / n
-            diff = lambda t: abs(cu.value(t) - cv.value(t))
-            seq = [abs(cu.right_limit(a) - cv.right_limit(a))]
+            fu, fv = su.fn, sv.fn
+            diff = lambda t: abs(fu(t) - fv(t))
+            # the end samples are the right limit at a, left limit at b
+            seq = [diff(a)]
             seq.extend(diff(a + h * k) for k in range(1, n))
-            seq.append(abs(cu.left_limit(b) - cv.left_limit(b)))
+            seq.append(diff(b))
             mloc = max(seq)
             best = max(best, mloc)
             k = seq.index(mloc)

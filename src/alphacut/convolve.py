@@ -11,8 +11,8 @@ import math
 
 from .calculus import ExtendedSlope, as_left_slope
 from .cutcore import expr as ex
-from .cutcore.curve import (CutCurve, FuzzyNum, Segment, membership,
-                            membership_outer_limit, validate)
+from .cutcore.curve import (CutCurve, FuzzyNum, Segment, common_pieces,
+                            membership, membership_outer_limit, validate)
 from .cutcore.tolerance import TOL
 from .errors import StructuralError
 
@@ -40,30 +40,16 @@ class EndpointSpec:
 def crisp_point(x):
     """The crisp fuzzy number sitting at a single abscissa."""
     x = float(x)
+    if not math.isfinite(x):
+        raise ValueError("crisp point x must be finite, got %r" % (x,))
     curve = CutCurve([Segment(0.0, 1.0, ex.const(x), "const")])
     return FuzzyNum(curve, curve, name="point(%r)" % (x,))
 
 
-def _segment_at(curve, a, b):
-    """The segment of curve covering the open interval (a, b)."""
-    mid = 0.5 * (a + b)
-    for s in curve.segments:
-        if s.lo <= mid <= s.hi and s.width > 0.0:
-            return s
-    raise StructuralError("no segment covers (%r, %r)" % (a, b))
-
-
 def _merge_curves(cu, cv):
     """Levelwise sum of two cut curves, tagged as a moving summand is."""
-    knots = sorted({0.0, 1.0}
-                   | {s.lo for s in cu.segments} | {s.hi for s in cu.segments}
-                   | {s.lo for s in cv.segments} | {s.hi for s in cv.segments})
     segs = []
-    for a, b in zip(knots, knots[1:]):
-        if b <= a:
-            continue
-        su = _segment_at(cu, a, b)
-        sv = _segment_at(cv, a, b)
+    for a, b, su, sv in common_pieces(cu, cv):
         mono = sv.mono if su.mono == "const" else su.mono
         segs.append(Segment(a, b, ex.add(su.fn.expr, sv.fn.expr), mono))
     return CutCurve(segs)
@@ -107,16 +93,6 @@ def endpoint_value(u, v, spec):
                membership(v, _component_endpoint(v, spec)))
 
 
-def _const_above(curve, q):
-    """True when the curve is constant on a level neighborhood above q."""
-    if q >= 1.0:
-        return False
-    for s in curve.segments:
-        if s.hi > q:
-            return s.mono == "const"
-    return False
-
-
 def _sum_slope(*ds):
     """Left-branch slope where the factors' level derivatives ds add.
 
@@ -134,7 +110,8 @@ def _predict_outward(u, v, q):
     """Left-branch slope from the left, away from the core (clean side)."""
     if q <= 0.0:
         return None
-    if _const_above(u.left, q) and _const_above(v.left, q):
+    if (q < 1.0 and u.left.segment_above(q).mono == "const"
+            and v.left.segment_above(q).mono == "const"):
         # both factors flat just above q: the summed endpoint carries a
         # membership jump, so there is no finite one-sided slope there
         return None
@@ -155,8 +132,7 @@ def _predict_inward(u, v, q):
     cu, cv = u.left, v.left
     if q >= 1.0:
         return None
-    if (abs(cu.right_limit(q) - cu.value(q)) > TOL
-            or abs(cv.right_limit(q) - cv.value(q)) > TOL):
+    if cu.jumps_at(q) or cv.jumps_at(q):
         # a cut jump in either factor lays a constant membership run on
         # the core side of the summed endpoint
         return as_left_slope(0.0)
@@ -181,9 +157,7 @@ def _predict_strong(u, v, q, side):
     if side == "left":
         # approaching the strong endpoint from outside: a cut jump in
         # either factor lays a constant membership run on that side
-        ju = abs(cu.right_limit(q) - cu.value(q)) > TOL
-        jv = abs(cv.right_limit(q) - cv.value(q)) > TOL
-        if ju or jv:
+        if cu.jumps_at(q) or cv.jumps_at(q):
             return 0.0
         return None
     # core side of the strong endpoint

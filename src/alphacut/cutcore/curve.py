@@ -14,7 +14,7 @@ from operator import le, lt
 from ..errors import StructuralError
 from . import expr as ex
 from .expr import InverseFn  # noqa: F401  (inv nodes solve through it)
-from .tolerance import BISECT_STEPS, LEVEL_TOL, MONO_SLACK
+from .tolerance import BISECT_STEPS, LEVEL_TOL, MONO_SLACK, TOL
 
 MONO_TAGS = ("inc", "dec", "const")
 
@@ -152,41 +152,51 @@ class CutCurve:
             raise ValueError("level %r outside [0, 1]" % (alpha,))
         return self.segments[self.owner_index(alpha)].fn(alpha)
 
+    def segment_above(self, alpha):
+        """The first segment with hi > alpha, which holds the levels above."""
+        for s in self.segments:
+            if s.hi > alpha:
+                return s
+        raise StructuralError("level %r not covered" % (alpha,))
+
+    def segment_below(self, alpha):
+        """The last segment with lo < alpha, which holds the levels below."""
+        for s in reversed(self.segments):
+            if s.lo < alpha:
+                return s
+        raise StructuralError("level %r not covered" % (alpha,))
+
     def right_limit(self, alpha):
         """Limit of the curve value from above the level; needs alpha < 1."""
         if not 0.0 <= alpha < 1.0:
             raise ValueError("right limit needs a level in [0, 1)")
-        for s in self.segments:
-            if s.hi > alpha:
-                return s.fn(max(alpha, s.lo))
-        raise StructuralError("level %r not covered" % (alpha,))
+        s = self.segment_above(alpha)
+        return s.fn(max(alpha, s.lo))
 
     def left_limit(self, alpha):
         """Limit of the curve value from below the level; needs alpha > 0."""
         if not 0.0 < alpha <= 1.0:
             raise ValueError("left limit needs a level in (0, 1]")
-        for s in reversed(self.segments):
-            if s.lo < alpha:
-                return s.fn(min(alpha, s.hi))
-        raise StructuralError("level %r not covered" % (alpha,))
+        s = self.segment_below(alpha)
+        return s.fn(min(alpha, s.hi))
 
     def deriv_above(self, alpha):
         """One-sided level derivative from above; needs alpha < 1."""
         if not 0.0 <= alpha < 1.0:
             raise ValueError("derivative from above needs a level in [0, 1)")
-        for s in self.segments:
-            if s.hi > alpha:
-                return s.fn.deriv(max(alpha, s.lo))
-        raise StructuralError("level %r not covered" % (alpha,))
+        s = self.segment_above(alpha)
+        return s.fn.deriv(max(alpha, s.lo))
 
     def deriv_below(self, alpha):
         """One-sided level derivative from below; needs alpha > 0."""
         if not 0.0 < alpha <= 1.0:
             raise ValueError("derivative from below needs a level in (0, 1]")
-        for s in reversed(self.segments):
-            if s.lo < alpha:
-                return s.fn.deriv(min(alpha, s.hi))
-        raise StructuralError("level %r not covered" % (alpha,))
+        s = self.segment_below(alpha)
+        return s.fn.deriv(min(alpha, s.hi))
+
+    def jumps_at(self, alpha):
+        """Whether the cut endpoint is over TOL from its right limit."""
+        return abs(self.right_limit(alpha) - self.value(alpha)) > TOL
 
     def strong_value(self, alpha):
         if alpha >= 1.0:
@@ -223,6 +233,14 @@ class CutCurve:
 
     def __repr__(self):
         return "CutCurve(%r)" % (self.segments,)
+
+
+def common_pieces(cu, cv):
+    """(a, b, su, sv) per piece of the knots 0, 1 and both curves'
+    junction levels: su and sv hold the open level interval (a, b)."""
+    knots = sorted({0.0, 1.0, *cu.breakpoints(), *cv.breakpoints()})
+    for a, b in zip(knots, knots[1:]):
+        yield a, b, cu.segment_above(a), cv.segment_above(a)
 
 
 class Interval:

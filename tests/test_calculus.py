@@ -6,8 +6,9 @@ import random
 
 import pytest
 
-from alphacut import (alpha_cut, calculus, class_membership, classify_points,
-                      convolve, from_membership_pieces, left_deriv,
+from alphacut import (CutCurve, FuzzyNum, Segment, alpha_cut, calculus,
+                      class_membership, classify_points, convolve,
+                      from_membership_pieces, left_deriv,
                       lipschitz_estimate, membership,
                       membership_outer_limit, numeric_slope, right_deriv,
                       scale, singular_at, strong_cut, sup_metric)
@@ -228,6 +229,22 @@ def test_metric_against_level_grid(a, b):
                                lambda t: alpha_cut(v, t), 10001)
     assert grid <= val + gap + 1e-12
     assert val - grid <= 2e-3
+
+
+def test_one_ulp_knot_interval_reads_its_own_segments():
+    """On the piece [0.5, b] one ulp wide, sample levels round onto its
+    ends; the metric and the convolution must still read the segments
+    that hold the piece.  The left curves differ by 4 up to level 0.5
+    and by 0 above it, so the residual bound is 0, and the sum above
+    0.5 is (a + 3) + (a + 3)."""
+    b = math.nextafter(0.5, 1.0)
+    right = CutCurve([Segment(0.0, 1.0, "9 - a", "dec")])
+    u = FuzzyNum(CutCurve([Segment(0.0, 0.5, "a - 1", "inc"),
+                           Segment(0.5, b, "a + 3", "inc", own_right=False),
+                           Segment(b, 1.0, "a + 3", "inc")]), right)
+    v = FuzzyNum(CutCurve([Segment(0.0, 1.0, "a + 3", "inc")]), right)
+    assert sup_metric(u, v) == (4.0, 0.0)
+    assert convolve(u, v).left.value(b) == 7.0
 
 
 def test_lipschitz_constants():

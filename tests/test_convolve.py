@@ -169,6 +169,13 @@ def test_scale_rejects_non_finite_factor(r):
     assert "scale factor r" in str(err.value)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_crisp_point_rejects_non_finite_abscissa(x):
+    with pytest.raises(ValueError) as err:
+        crisp_point(x)
+    assert "crisp point x" in str(err.value)
+
+
 def test_scale_keeps_a_number_that_validates():
     """A slope inside the monotonicity tolerance stays inside it when
     the values scale with it."""
