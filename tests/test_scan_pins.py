@@ -10,15 +10,16 @@ side; on u and on -u.  A second digest per number pins the level
 lookups of both cut curves, right_limit, left_limit, deriv_above,
 deriv_below and strong_value, at each segment end, 1 ulp either side
 of it and at each level midpoint, with sup_metric and the document
-text of convolve against two fixed partners.  The numbers are every
-fixture with its smoother and one smoothing step, hand-built curves
-with zero-width segments, const runs and own_right=False, an x^3
-number and seeded draws from the plan of conftest.fuzzy_numbers.  A
-refactor of the scans or of the level lookups must reproduce every
-digest.
+text of convolve against two fixed partners.  A third pins
+lipschitz_estimate of the number and of its convolution with each
+partner.  The numbers are every fixture with its smoother and one
+smoothing step, hand-built curves with zero-width segments, const runs
+and own_right=False, an x^3 number and seeded draws from the plan of
+conftest.fuzzy_numbers.  A refactor of the scans, the level lookups
+or the sampled estimates must reproduce every digest.
 
 The digests live in scan_pins.json next to this file.  Rerecord them
-only for an intended change of the scans or the lookups:
+only for an intended change of the scans, lookups or estimates:
 
     PYTHONPATH=src python tests/test_scan_pins.py
 """
@@ -32,9 +33,9 @@ import random
 import pytest
 
 from alphacut import (CutCurve, FuzzyNum, Segment, convolve,
-                      from_membership_pieces, membership,
-                      membership_outer_limit, scale, sup_metric,
-                      synthesize_smoother)
+                      from_membership_pieces, lipschitz_estimate,
+                      membership, membership_outer_limit, scale,
+                      sup_metric, synthesize_smoother)
 from alphacut.calculus import candidate_points
 from alphacut.cli import document_text
 from alphacut.cutcore.curve import membership_pair
@@ -91,8 +92,8 @@ X3_PIECES = [(-1.0, 0.0, "(x + 1)^3", "inc"), (0.0, 1.0, "1 - x^3", "dec")]
 
 SEEDS = range(64)
 
-# the fixed partners of sup_metric and convolve: one continuous, one
-# with cut jumps
+# the fixed partners of sup_metric, convolve and the estimates: one
+# continuous, one with cut jumps
 PARTNERS = ("triangle", "tail-jump")
 
 
@@ -192,9 +193,16 @@ def _lookup_lines(fz, partners):
         yield document_text(convolve(fz, p))
 
 
-def _lookup_digest(fz, partners):
+def _estimate_lines(fz, partners):
+    """lipschitz_estimate of fz and of its convolution with each partner."""
+    yield _hexes([lipschitz_estimate(fz)])
+    for p in partners:
+        yield _hexes([lipschitz_estimate(convolve(fz, p))])
+
+
+def _lines_digest(lines):
     h = hashlib.sha256()
-    for line in _lookup_lines(fz, partners):
+    for line in lines:
         h.update((line + "\n").encode())
     return h.hexdigest()
 
@@ -202,7 +210,8 @@ def _lookup_digest(fz, partners):
 def _digests():
     partners = [load_fixture(name) for name in PARTNERS]
     return {key: {"scans": _digest(fz),
-                  "lookups": _lookup_digest(fz, partners)}
+                  "lookups": _lines_digest(_lookup_lines(fz, partners)),
+                  "estimates": _lines_digest(_estimate_lines(fz, partners))}
             for key, fz in _numbers()}
 
 
@@ -225,6 +234,10 @@ def test_scans_are_pinned(digests):
 
 def test_level_lookups_are_pinned(digests):
     _check_pins(digests, "lookups")
+
+
+def test_sampled_estimates_are_pinned(digests):
+    _check_pins(digests, "estimates")
 
 
 if __name__ == "__main__":
