@@ -429,24 +429,36 @@ def class_membership(fz):
     return ClassFlags(in_ft, in_fn, in_fc, in_fd)
 
 
-def _golden_max(f, a, b):
-    invphi = 0.5 * (math.sqrt(5.0) - 1.0)
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = f(c)
-    fd = f(d)
-    for _ in range(90):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-        if b - a <= 1e-13:
-            break
-    return fc if fc >= fd else fd
+def _sampled_max(f, a, b, n):
+    """(largest value, samples) of f at a, a + k*(b - a)/n and b, the
+    largest refined by golden section between its neighbour samples."""
+    h = (b - a) / n
+    seq = [f(a)]
+    seq.extend(f(a + h * k) for k in range(1, n))
+    seq.append(f(b))
+    best = max(seq)
+    k = seq.index(best)
+    lo = a + h * max(0, k - 1)
+    hi = a + h * min(n, k + 1)
+    if hi > lo:
+        invphi = 0.5 * (math.sqrt(5.0) - 1.0)
+        c = hi - invphi * (hi - lo)
+        d = lo + invphi * (hi - lo)
+        fc = f(c)
+        fd = f(d)
+        for _ in range(90):
+            if fc >= fd:
+                hi, d, fd = d, c, fc
+                c = hi - invphi * (hi - lo)
+                fc = f(c)
+            else:
+                lo, c, fc = c, d, fd
+                d = lo + invphi * (hi - lo)
+                fd = f(d)
+            if hi - lo <= 1e-13:
+                break
+        best = max(best, fc if fc >= fd else fd)
+    return best, seq
 
 
 def sup_metric(u, v):
@@ -457,42 +469,17 @@ def sup_metric(u, v):
         best = max(best, abs(cu.value(1.0) - cv.value(1.0)))
         for a, b, su, sv in common_pieces(cu, cv):
             best = max(best, abs(cu.value(a) - cv.value(a)))
-            n = 128
-            h = (b - a) / n
             fu, fv = su.fn, sv.fn
-            diff = lambda t: abs(fu(t) - fv(t))
             # the end samples are the right limit at a, left limit at b
-            seq = [diff(a)]
-            seq.extend(diff(a + h * k) for k in range(1, n))
-            seq.append(diff(b))
-            mloc = max(seq)
+            mloc, seq = _sampled_max(lambda t: abs(fu(t) - fv(t)), a, b, 128)
             best = max(best, mloc)
-            k = seq.index(mloc)
-            lo = a + h * max(0, k - 1)
-            hi = a + h * min(n, k + 1)
-            if hi > lo:
-                best = max(best, _golden_max(diff, lo, hi))
+            h = (b - a) / 128
             smax = 0.0
             for f0, f1 in zip(seq, seq[1:]):
                 if math.isfinite(f0) and math.isfinite(f1):
                     smax = max(smax, abs(f1 - f0) / h)
             gap = max(gap, 0.5 * smax * h)
     return best, gap
-
-
-def _min_abs_deriv(fn, lo, hi):
-    n = 64
-    h = (hi - lo) / n
-    pts = [lo + h * k for k in range(n + 1)]
-    vals = [abs(fn.deriv(t)) for t in pts]
-    m = min(vals)
-    k = vals.index(m)
-    a = pts[max(0, k - 1)]
-    b = pts[min(n, k + 1)]
-    if b > a:
-        refined = -_golden_max(lambda t: -abs(fn.deriv(t)), a, b)
-        m = min(m, refined)
-    return m
 
 
 def lipschitz_estimate(fz):
@@ -504,7 +491,8 @@ def lipschitz_estimate(fz):
         for s in curve.segments[_base_run_end(curve):]:
             if s.width == 0.0 or s.mono == "const":
                 continue
-            dmin = _min_abs_deriv(s.fn, s.lo, s.hi)
+            dmin = -_sampled_max(lambda t: -abs(s.fn.deriv(t)),
+                                 s.lo, s.hi, 64)[0]
             if dmin <= 0.0 or not math.isfinite(1.0 / dmin):
                 return math.inf
             best = max(best, 1.0 / dmin)
