@@ -13,6 +13,7 @@ from alphacut.cli import (document_text, emit_svg, load_document, main,
 from alphacut.convolve import convolve, scale
 from alphacut.errors import ParseError, RepresentationError
 from alphacut.cutcore.curve import alpha_cut, strong_cut
+from alphacut.smoother import synthesize_smoother
 
 from conftest import EXAMPLE_NAMES, FIXTURE_DIR, FIXTURE_NAMES, load_fixture
 
@@ -428,6 +429,43 @@ def test_bisection_numbers_save_after_convolve_and_scale(argv, tmp_path,
            else scale(2.0, u))
     for a in LEVELS:
         assert alpha_cut(got, a) == alpha_cut(ref, a)
+
+
+# each saving command on a document named "a/b": argv, the saved name
+# and the number it must hold, built from the loaded document
+SLASH_NAME_RUNS = {
+    "convolve": (["convolve", "{doc}", "{triangle}"], "conv_a/b_triangle",
+                 lambda u: convolve(u, load_fixture("triangle"))),
+    "scale": (["scale", "{doc}", "2.0"], "scale_2.0_a/b",
+              lambda u: scale(2.0, u)),
+    "synthesize": (["synthesize", "{doc}", "0.5"], "smoother_a/b",
+                   lambda u: synthesize_smoother(u, 0.5)),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SLASH_NAME_RUNS))
+def test_name_with_a_path_separator_saves_directly_in_out(command, tmp_path,
+                                                          capsys):
+    """The file name replaces the separator; the name header keeps it."""
+    with open(fixture_path("triangle")) as fh:
+        text = fh.read().replace("name: triangle", "name: a/b")
+    doc = write_doc(tmp_path, text)
+    out_dir = os.path.join(str(tmp_path), "o")
+    argv, name, build = SLASH_NAME_RUNS[command]
+    argv = [a.format(doc=doc, triangle=fixture_path("triangle"))
+            for a in argv]
+    code, out, err = run(argv + ["--out", out_dir], capsys)
+    assert (code, err) == (0, "")
+    path = out.splitlines()[0]
+    fname = name.replace("/", "_") + ".fz"
+    assert path == os.path.join(out_dir, fname)
+    assert os.listdir(out_dir) == [fname]
+    got = load_document(path)
+    assert got.name == name
+    ref = build(load_document(doc))
+    for a in LEVELS:
+        assert alpha_cut(got, a) == alpha_cut(ref, a)
+        assert strong_cut(got, a) == strong_cut(ref, a)
 
 
 def test_smooth_check_failing_pair_exits_1_and_names_condition(capsys):
