@@ -31,7 +31,8 @@ from . import approx, calculus, smoother
 from .convolve import convolve as _convolve, scale as _scale
 from .cutcore import build, expr as ex
 from .cutcore.curve import (CutCurve, ExprFn, FuzzyNum, Segment,
-                            membership, sample, validate)
+                            alpha_cut, membership, sample, strong_cut,
+                            validate)
 from .cutcore.tolerance import LEVEL_TOL
 from .errors import (AlphacutError, ParseError, RepresentationError,
                      SmootherConditionError, StructuralError)
@@ -285,9 +286,21 @@ def emit_svg(fzs, grid):
 
 
 def _out_path(args, name):
+    """The path of file name under --out (default "."), made if missing."""
     outdir = getattr(args, "out", None) or "."
     os.makedirs(outdir, exist_ok=True)
     return os.path.join(outdir, name)
+
+
+def _save_result(args, fz, name):
+    """Name fz, save it under --out and print the path; the file name
+    has "_" for each path separator, the name header keeps the name."""
+    fz.name = name
+    for sep in filter(None, (os.sep, os.altsep)):
+        name = name.replace(sep, "_")
+    path = _out_path(args, name + ".fz")
+    save_document(fz, path)
+    print(path)
 
 
 def _cmd_validate(args):
@@ -301,11 +314,7 @@ def _cmd_validate(args):
 
 def _cmd_cut(args):
     fz = load_document(args.file)
-    if args.strong:
-        from .cutcore.curve import strong_cut as fn
-    else:
-        from .cutcore.curve import alpha_cut as fn
-    iv = fn(fz, args.level)
+    iv = (strong_cut if args.strong else alpha_cut)(fz, args.level)
     print("%s %s" % (_g(iv.lo), _g(iv.hi)))
     return 0
 
@@ -348,21 +357,14 @@ def _cmd_metric(args):
 def _cmd_convolve(args):
     a = load_document(args.file_a)
     b = load_document(args.file_b)
-    out = _convolve(a, b)
-    out.name = "conv_%s_%s" % (a.name, b.name)
-    path = _out_path(args, out.name + ".fz")
-    save_document(out, path)
-    print(path)
+    _save_result(args, _convolve(a, b), "conv_%s_%s" % (a.name, b.name))
     return 0
 
 
 def _cmd_scale(args):
     fz = load_document(args.file)
-    out = _scale(args.factor, fz)
-    out.name = "scale_%r_%s" % (args.factor, fz.name)
-    path = _out_path(args, out.name + ".fz")
-    save_document(out, path)
-    print(path)
+    _save_result(args, _scale(args.factor, fz),
+                 "scale_%r_%s" % (args.factor, fz.name))
     return 0
 
 
@@ -380,11 +382,8 @@ def _cmd_synthesize(args):
     w = smoother.synthesize_smoother(
         u, args.p, preserve_core=args.preserve_core,
         lipschitz_cap=args.lipschitz_cap)
-    w.name = "smoother_%s" % (u.name,)
-    path = _out_path(args, w.name + ".fz")
-    save_document(w, path)
+    _save_result(args, w, "smoother_%s" % (u.name,))
     rep = smoother.check_smoother_conditions(u, w)
-    print(path)
     print("theorem: %s" % rep.theorem)
     return 0
 
@@ -401,12 +400,10 @@ def _cmd_approximate(args):
     schedule = approx.default_schedule(args.steps)
     steps, report = approx.approximate(u, w, schedule)
     pres = approx.preservation_report(u, steps, w, schedule)
-    outdir = args.out or "."
-    os.makedirs(outdir, exist_ok=True)
     paths = []
     for i, step in enumerate(steps, 1):
         step.name = "step_%03d" % (i,)
-        path = os.path.join(outdir, "step_%03d.fz" % (i,))
+        path = _out_path(args, step.name + ".fz")
         save_document(step, path)
         paths.append(path)
     doc = {
@@ -427,7 +424,7 @@ def _cmd_approximate(args):
         },
         "steps": paths,
     }
-    rpath = os.path.join(outdir, "report.json")
+    rpath = _out_path(args, "report.json")
     _write_atomic(rpath, json.dumps(doc, indent=2) + "\n")
     for line in report.lines():
         print(line)
