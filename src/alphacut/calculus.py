@@ -491,8 +491,8 @@ def lipschitz_estimate(fz):
         for s in curve.segments[_base_run_end(curve):]:
             if s.width == 0.0 or s.mono == "const":
                 continue
-            dmin = -_sampled_max(lambda t: -abs(s.fn.deriv(t)),
-                                 s.lo, s.hi, 64)[0]
+            deriv = s.fn.deriv
+            dmin = -_sampled_max(lambda t: -abs(deriv(t)), s.lo, s.hi, 64)[0]
             if dmin <= 0.0 or not math.isfinite(1.0 / dmin):
                 return math.inf
             best = max(best, 1.0 / dmin)
